@@ -69,11 +69,13 @@ type Options struct {
 	// verdicts are bit-identical at every worker count. Workers = 1 is
 	// the strict no-goroutine mode running the plain serial loop.
 	Workers int
-	// MaxEventsPerNode guards against combinational feedback: after this
-	// many propagation rounds from one node's arrival the analyzer stops
-	// propagating it and records the node in Unbounded (default 150 —
-	// deep ripple structures legitimately re-propagate tens of times
-	// during longest-path relaxation).
+	// MaxEventsPerNode bounds combinational feedback: a node on a
+	// structural feedback loop (feedback.go) stops propagating after this
+	// many propagation rounds and is recorded in Unbounded (default 150 —
+	// relaxation inside a loop can legitimately take tens of rounds).
+	// Nodes on no loop are never counted: their event streams are finite
+	// by construction, so on acyclic logic this constant changes no
+	// answer.
 	MaxEventsPerNode int
 	// DefaultSlope is the transition time assumed for seeded inputs that
 	// do not specify one (default 1 ns).
@@ -150,8 +152,9 @@ type Analyzer struct {
 	histLen    int32
 	histFree   int32
 
-	// Unbounded lists nodes whose arrival kept improving past the guard
-	// (combinational feedback); their times are lower bounds only.
+	// Unbounded lists feedback-loop nodes the guard cut off after
+	// Options.MaxEventsPerNode rounds; their times are lower bounds only.
+	// FeedbackLoops names the loops they lie on.
 	Unbounded []*netlist.Node
 	// Truncated reports that stage enumeration hit a cap somewhere.
 	Truncated bool
@@ -161,6 +164,7 @@ type Analyzer struct {
 	initial      []switchsim.Value // pre-settle stored values (clocked analyses)
 	loopBreak    []bool
 	cachedOracle stage.Oracle
+	fb           *feedback // structural feedback loops (feedback.go)
 	queue        sched.Queue
 	queued       [][2]bool // per (node, transition): live entry in the queue
 	stageEv      int       // stages evaluated (cost metric)
@@ -209,7 +213,7 @@ type histEvent struct {
 
 // histChunkLen is the events-per-chunk of the history arena: sized so the
 // common short streams (a handful of superseded events) fit in one chunk
-// while hub nodes near the guard budget chain a few dozen.
+// while reconvergent hub nodes chain a few dozen.
 const histChunkLen = 8
 
 // histChunk is one arena block of a (node, transition)'s recorded stream.
@@ -227,17 +231,18 @@ type histChunk struct {
 // chunk indexes, 0 = empty), and whether the CURRENT event has propagated
 // yet.
 //
-// The chain is deliberately NOT pruned to the slope frontier. Dominated
-// entries (an earlier, shallower event followed by a later, steeper one)
-// cannot change any final arrival — their replayed candidates lose to the
-// dominating event's under the deterministic tie-break — but they do
-// carry propagation *rounds*: a downstream node's feedback-guard count is
-// the number of improvements it saw, not the number of frontier events.
-// Pruning here made incremental re-analysis under-count rounds on nodes
-// fed by long streams (e.g. downstream of a guard-cut spin) and miss
-// guard hits a from-scratch run reports. The chain length is bounded by
-// Options.MaxEventsPerNode per (node, transition): the guard stops
-// propagation — and therefore recording — past that count.
+// The chain is deliberately NOT pruned to the slope frontier: replay
+// re-propagates exactly the stream a full run propagated, round for round.
+// (Dominated entries — an earlier, shallower event followed by a later,
+// steeper one — cannot change any final arrival, but on a feedback-loop
+// node rounds are what the guard counts.)
+//
+// Chain length: on a node of a structural feedback loop the guard stops
+// propagation — and therefore recording — after Options.MaxEventsPerNode
+// rounds per (node, transition). Every other node is never guarded; its
+// chain is bounded by its pop count, the number of distinct events it
+// propagates, which is finite because the node lies on no cycle (a median
+// of about 25–30 per node on the E6 chip).
 type nodeHist struct {
 	head, tail int32
 	propagated bool
@@ -446,6 +451,7 @@ func (a *Analyzer) Run() error {
 	if err := a.settleStatic(); err != nil {
 		return err
 	}
+	a.buildFeedbackGraph()
 	if a.Opts.Hier {
 		a.setupHier()
 	}
@@ -592,14 +598,7 @@ func (a *Analyzer) drainReplay(replays []replayItem) {
 			continue // stale: a fresher entry is in the queue
 		}
 		a.queued[row][tr] = false
-		// Feedback guard: counts propagation rounds, not improvements,
-		// so deep longest-path relaxation is unaffected while true
-		// cycles (which re-queue forever) are cut off.
-		a.count[row][tr]++
-		if a.count[row][tr] > a.Opts.MaxEventsPerNode {
-			if a.count[row][tr] == a.Opts.MaxEventsPerNode+1 {
-				a.Unbounded = append(a.Unbounded, a.Net.Nodes[node])
-			}
+		if a.guardCut(node, row, tr) {
 			continue
 		}
 		a.hist[row][tr].propagated = true
@@ -656,13 +655,12 @@ func (a *Analyzer) improve(node int, tr tech.Transition, ev Event) bool {
 	}
 	// History: a superseded event that already propagated may still matter
 	// downstream — a steeper slope can yield a later consequence than the
-	// final (later, shallower) event does, and on a feedback-guarded node
-	// the superseding event may never propagate at all (the guard cuts the
-	// spin off), leaving the superseded one as the last influence the rest
-	// of the chip actually saw. Record every propagated-superseded event,
-	// unpruned (see nodeHist), so an incremental re-analysis replays
-	// exactly the stream a full run propagated — including its length,
-	// which downstream feedback-guard counts depend on.
+	// final (later, shallower) event does, and on a guarded feedback-loop
+	// node the superseding event may never propagate at all (the guard cuts
+	// the spin off), leaving the superseded one as the last influence the
+	// rest of the chip actually saw. Record every propagated-superseded
+	// event, unpruned (see nodeHist), so an incremental re-analysis replays
+	// exactly the stream a full run propagated.
 	if cur.Valid {
 		h := &a.hist[row][tr]
 		if h.propagated {

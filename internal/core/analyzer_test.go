@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
@@ -355,6 +356,25 @@ func TestFeedbackGuardFlagsUnbounded(t *testing.T) {
 	}
 	if len(a.Unbounded) == 0 {
 		t.Error("ring oscillator should hit the feedback guard")
+	}
+	// Only the ring's own loop is guarded: the NAND's series node and the
+	// enable input lie on no cycle.
+	for _, n := range a.Unbounded {
+		if n.Name != "r0" && n.Name != "r1" && n.Name != "r2" {
+			t.Errorf("guard fired on %s, outside the ring", n.Name)
+		}
+	}
+	if loops := a.FeedbackLoops(); len(loops) != 1 || loops[0].Size != 3 {
+		t.Errorf("feedback loops = %+v, want the one 3-node ring", loops)
+	}
+	// The report names the loop and its members: where a loop-break goes.
+	var b bytes.Buffer
+	if err := a.WriteReport(&b, 1); err != nil {
+		t.Fatal(err)
+	}
+	if out := b.String(); !strings.Contains(out, "in 1 feedback loop(s)") ||
+		!strings.Contains(out, "loop of 3 node(s)") || !strings.Contains(out, "r0 r1 r2") {
+		t.Errorf("report does not name the ring:\n%s", out)
 	}
 }
 

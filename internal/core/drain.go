@@ -321,11 +321,7 @@ func (a *Analyzer) commitBatch(replays []replayItem, ri *int, nb int) {
 				continue // stale: a fresher entry is in the queue
 			default:
 				a.queued[row][tr] = false
-				a.count[row][tr]++
-				if a.count[row][tr] > a.Opts.MaxEventsPerNode {
-					if a.count[row][tr] == a.Opts.MaxEventsPerNode+1 {
-						a.Unbounded = append(a.Unbounded, a.Net.Nodes[node])
-					}
+				if a.guardCut(node, row, tr) {
 					continue
 				}
 				a.hist[row][tr].propagated = true

@@ -12,11 +12,16 @@
 // nodes) across the class. The event queue's strict total order and the
 // improve tie-break compare original node indexes; interior ranks are
 // index-sorted and each boundary node orders identically against every
-// member's interior (the rankpos check), so the per-member pop sequences,
-// guard counts and surviving events are isomorphic under the rank map.
-// Stamping copies the representative's interior events — times, slopes,
-// validity, counts — with predecessor indexes rank-remapped, which is
-// exactly what the flat drain would have computed.
+// member's interior (the rankpos check), so the per-member pop sequences
+// and surviving events are isomorphic under the rank map. Stamping copies
+// the representative's interior events — times, slopes, validity — with
+// predecessor indexes rank-remapped, which is exactly what the flat drain
+// would have computed.
+//
+// Classes with a structural feedback loop (feedback.go) in a member
+// interior stay flat: the guard's cutoff round inside a loop depends on the
+// global pop order, so only acyclic interiors — which the guard never
+// touches — replay isomorphically.
 //
 // During the hierarchical drain the members are masked out: their devices'
 // consequence lists are never evaluated, boundary fan-out stages targeting
@@ -175,6 +180,12 @@ func (a *Analyzer) setupHier() {
 			hs.reason[rep] = "no member matched the analysis context"
 			continue
 		}
+		if why := a.hierFeedback(plan, members); why != "" {
+			for _, m := range members {
+				hs.reason[m] = why
+			}
+			continue
+		}
 		hs.reason[rep] = "class representative: analyzed flat"
 		hs.classes = append(hs.classes, members)
 		for _, m := range members {
@@ -186,6 +197,22 @@ func (a *Analyzer) setupHier() {
 	}
 	hs.buildMasks(a)
 	a.hier = hs
+}
+
+// hierFeedback reports why a class with a structural feedback loop in any
+// member interior must stay flat, or "" when the interiors are acyclic.
+// The guard cuts a loop at an order-dependent round, so a spinning
+// interior cannot be stamped; an acyclic interior is never cut.
+func (a *Analyzer) hierFeedback(p *hier.Plan, members []int) string {
+	for _, m := range members {
+		for _, idx := range p.Instances[m].Interior {
+			if a.fb.sccOf[idx] >= 0 {
+				return "feedback loop in the class interior (" +
+					a.sccSummary(a.fb, int(idx)) + "): analyzed flat"
+			}
+		}
+	}
+	return ""
 }
 
 // hierContextMismatch compares the analysis context of member m against
@@ -256,81 +283,20 @@ func (a *Analyzer) dropHier() {
 	a.hierSkipNode, a.hierSkipTrans = nil, nil
 }
 
-// drainAndStamp runs the masked drain, falls whole classes back to flat
-// when the feedback guard fires inside one (the guard's cutoff point is
-// order-dependent, so a spinning interior cannot be stamped), and finally
-// copies the representatives' interior timing onto their members.
+// drainAndStamp runs the masked drain, then copies the representatives'
+// interior timing onto their members. setupHier already left every class
+// with a feedback loop in a member interior flat, so the guard never cuts
+// a stamped interior and one drain suffices.
 func (a *Analyzer) drainAndStamp() {
-	for {
-		a.seedAll()
-		a.drainRouted(nil)
-		if !a.hierGuardUnstamp() {
-			break
-		}
-		// Guard hit inside an active class: rare, and the simple correct
-		// path is a clean re-drain with the class unmasked.
-		nw := a.Net
-		a.events = make([][2]Event, len(nw.Nodes))
-		a.count = make([][2]int, len(nw.Nodes))
-		a.hist = make([][2]nodeHist, len(nw.Nodes))
-		a.resetHistArena()
-		a.queued = make([][2]bool, len(nw.Nodes))
-		a.queue.Reset()
-		a.queue.Grow(4 * len(nw.Nodes))
-		a.Unbounded = nil
-	}
+	a.seedAll()
+	a.drainRouted(nil)
 	a.stampMembers()
 }
 
-// hierGuardUnstamp deactivates every class with a feedback-guard hit in
-// any member's interior and reports whether it deactivated one.
-func (a *Analyzer) hierGuardUnstamp() bool {
-	hs := a.hier
-	if hs == nil || len(hs.classes) == 0 {
-		return false
-	}
-	bad := map[int]bool{}
-	for _, n := range a.Unbounded {
-		if n.Index < len(hs.plan.MemberOf) {
-			if inst := int(hs.plan.MemberOf[n.Index]) - 1; inst >= 0 {
-				bad[inst] = true
-			}
-		}
-	}
-	if len(bad) == 0 {
-		return false
-	}
-	removed := false
-	kept := hs.classes[:0:0]
-	for _, class := range hs.classes {
-		hit := false
-		for _, m := range class {
-			if bad[m] {
-				hit = true
-				break
-			}
-		}
-		if !hit {
-			kept = append(kept, class)
-			continue
-		}
-		removed = true
-		for _, m := range class {
-			hs.stamped[m] = false
-			hs.repOf[m] = -1
-			hs.reason[m] = "feedback guard fired in the class interior: analyzed flat"
-		}
-	}
-	hs.classes = kept
-	if removed {
-		hs.buildMasks(a)
-	}
-	return removed
-}
-
 // stampMembers copies each representative's interior events onto its
-// stamped members: times, slopes, validity and propagation counts verbatim
-// (they are isomorphic, see the package comment), predecessor node indexes
+// stamped members: times, slopes and validity verbatim (they are
+// isomorphic, see the package comment; the interiors are acyclic, so the
+// guard never counted a round there), predecessor node indexes
 // rank-remapped, provenance stages left pointing at the representative for
 // lazy translation. Member history stays empty — stamped interiors are
 // widened wholesale if an edit ever dirties them, so their replay streams
@@ -363,7 +329,6 @@ func (a *Analyzer) stampMembers() {
 						}
 					}
 					a.events[rowM][tr] = ev
-					a.count[rowM][tr] = a.count[rowR][tr]
 					a.freeHist(&a.hist[rowM][tr])
 					a.queued[rowM][tr] = false
 				}

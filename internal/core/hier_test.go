@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/delay"
@@ -11,21 +12,26 @@ import (
 	"repro/internal/tech"
 )
 
+// hierFamily is one circuit of the hierarchical identity sweep.
+type hierFamily struct {
+	name    string
+	nw      *netlist.Network
+	fix     map[string]string
+	lb      []string
+	stamped bool // expect at least one stamped instance
+	loops   bool // has real feedback loops: the guard may fire, on loop members only
+}
+
 // hierFamilies are the circuit families the hierarchical identity suite
 // sweeps: every registered generator at a small scale, plus the tiled
 // grid (the only family carrying instance annotations and hence the only
 // one where stamping engages — everywhere else the hierarchical path must
 // degenerate to exactly the flat analysis), plus the grid without its
-// loop-break directives, where the feedback guard fires inside the tiles
-// and the stamped classes must fall back to flat wholesale.
-func hierFamilies(t *testing.T, p *tech.Params) []struct {
-	name    string
-	spec    string
-	nw      *netlist.Network
-	fix     map[string]string
-	lb      []string
-	stamped bool // expect at least one stamped instance
-} {
+// loop-break directives, where the register cells inside the tiles are
+// real feedback loops and the stamped classes must stay flat wholesale.
+// The static register cells (regfile, datapath) are the only other real
+// loops.
+func hierFamilies(t *testing.T, p *tech.Params) []hierFamily {
 	t.Helper()
 	specs := []string{
 		"invchain:6", "fanout:4", "passchain:6", "superbuffer", "bus:6",
@@ -33,58 +39,30 @@ func hierFamilies(t *testing.T, p *tech.Params) []struct {
 		"regfile:4,4", "polywire:8", "datapath:8", "shiftreg:6",
 		"arraymul:4", "carrysel:8", "pla:4,8,4", "chip:8",
 	}
-	var out []struct {
-		name    string
-		spec    string
-		nw      *netlist.Network
-		fix     map[string]string
-		lb      []string
-		stamped bool
-	}
+	var out []hierFamily
 	for _, spec := range specs {
 		nw, err := gen.Build(spec, p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var fix map[string]string
-		var lb []string
+		fam := hierFamily{name: spec, nw: nw}
 		if spec == "chip:8" {
-			fix, lb = gen.ChipDirectives(8)
+			fam.fix, fam.lb = gen.ChipDirectives(8)
 		}
-		out = append(out, struct {
-			name    string
-			spec    string
-			nw      *netlist.Network
-			fix     map[string]string
-			lb      []string
-			stamped bool
-		}{spec, spec, nw, fix, lb, false})
+		fam.loops = spec == "regfile:4,4" || spec == "datapath:8"
+		out = append(out, fam)
 	}
 	grid, err := gen.ChipGrid(p, 8, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	gfix, glb := gen.ChipGridDirectives(8, 3)
-	out = append(out, struct {
-		name    string
-		spec    string
-		nw      *netlist.Network
-		fix     map[string]string
-		lb      []string
-		stamped bool
-	}{"chip-grid", "chip:8,3", grid, gfix, glb, true})
+	out = append(out, hierFamily{name: "chip-grid", nw: grid, fix: gfix, lb: glb, stamped: true})
 	grid2, err := gen.ChipGrid(p, 8, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out = append(out, struct {
-		name    string
-		spec    string
-		nw      *netlist.Network
-		fix     map[string]string
-		lb      []string
-		stamped bool
-	}{"chip-grid-feedback", "chip:8,3", grid2, gfix, nil, false})
+	out = append(out, hierFamily{name: "chip-grid-feedback", nw: grid2, fix: gfix, loops: true})
 	return out
 }
 
@@ -153,6 +131,15 @@ func TestHierIdentity(t *testing.T) {
 			base := buildAnalyzer(t, fam.nw, m, fam.fix, fam.lb, Options{Workers: 1})
 			if err := base.Run(); err != nil {
 				t.Fatal(err)
+			}
+			// The guard fires on real loops only, and only on their members.
+			if fam.loops != (len(base.Unbounded) > 0) {
+				t.Errorf("%d unbounded nodes, family has real loops: %v", len(base.Unbounded), fam.loops)
+			}
+			for _, n := range base.Unbounded {
+				if base.fb.sccOf[n.Index] < 0 {
+					t.Errorf("guard fired on %s, which lies on no feedback loop", n.Name)
+				}
 			}
 			for _, workers := range []int{1, 8} {
 				a := buildAnalyzer(t, fam.nw, m, fam.fix, fam.lb, Options{Workers: workers})
@@ -396,4 +383,30 @@ func FuzzHierStamp(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestHierFeedbackClassStaysFlat: without the register loop-breaks every
+// tile interior holds real feedback loops, so no class is stamped and each
+// instance says which loop kept it flat — before the drain, not after a
+// guard hit.
+func TestHierFeedbackClassStaysFlat(t *testing.T) {
+	p := tech.NMOS4()
+	m := delay.NewSlope(delay.AnalyticTables(p))
+	nw, err := gen.ChipGrid(p, 8, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fix, _ := gen.ChipGridDirectives(8, 3)
+	a := buildAnalyzer(t, nw, m, fix, nil, Options{Workers: 1, Hier: true})
+	if err := a.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if st := a.HierStats(); st.Instances != 3 || st.Stamped != 0 {
+		t.Fatalf("HierStats = %+v, want 3 instances, none stamped", st)
+	}
+	for _, hi := range a.HierInstances() {
+		if hi.Path != "t0_" && !strings.Contains(hi.Reason, "feedback loop in the class interior") {
+			t.Errorf("%s: reason %q does not name the feedback loop", hi.Path, hi.Reason)
+		}
+	}
 }

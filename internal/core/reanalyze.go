@@ -54,6 +54,7 @@ func (a *Analyzer) Reanalyze(edits []incremental.Edit) (*ReanalyzeStats, error) 
 	}
 	oldStatic := a.static
 	oldDB := a.db
+	oldFB := a.fb
 
 	res, err := incremental.Apply(a.Net, edits)
 	if err != nil {
@@ -62,6 +63,12 @@ func (a *Analyzer) Reanalyze(edits []incremental.Edit) (*ReanalyzeStats, error) 
 	a.rebind(res.Net)
 	if err := a.settleStatic(); err != nil {
 		return nil, err
+	}
+	if geometryOnly(edits) && len(a.Net.Nodes) == len(oldFB.sccOf) && slices.Equal(oldStatic, a.static) {
+		// Neither topology nor sensitization moved: the loops are the same.
+		a.fb = oldFB
+	} else {
+		a.buildFeedbackGraph()
 	}
 	plan := res.Plan(oldStatic, a.static)
 	if a.hier != nil && !plan.ForceFull {
@@ -86,14 +93,17 @@ func (a *Analyzer) Reanalyze(edits []incremental.Edit) (*ReanalyzeStats, error) 
 	case plan.Frac > a.Opts.ReanalyzeMaxDirty:
 		stats.Full, stats.Reason = true,
 			fmt.Sprintf("dirty fraction %.2f above threshold %.2f", plan.Frac, a.Opts.ReanalyzeMaxDirty)
-	case a.dirtyTouchesUnbounded(plan):
-		// The edit perturbs a feedback region whose spin the guard cut
-		// off. The cycle usually spans the dirty/clean boundary, and the
-		// clean half only replays its recorded history — it cannot respond
-		// to the recomputed half — so the incremental drain would settle
-		// the cycle at a non-canonical cutoff. Only a from-scratch drain
-		// reproduces the full run's spin.
-		stats.Full, stats.Reason = true, "edit touches a feedback region"
+	default:
+		// The dirty cone reaches a structural feedback loop (before or after
+		// the edit). The loop's guard cutoff depends on the whole pop order,
+		// and a loop spanning the dirty/clean boundary would have its clean
+		// half replay recorded history instead of responding, so only a
+		// from-scratch drain reproduces the full run's spin. Loops wholly
+		// outside the cone carry over: their event streams are independent
+		// of it, so their cutoffs are already canonical.
+		if why := a.dirtyFeedback(plan, oldFB); why != "" {
+			stats.Full, stats.Reason = true, why
+		}
 	}
 	if stats.Full {
 		// A from-scratch drain recomputes every arrival flat; nothing
@@ -123,37 +133,40 @@ func (a *Analyzer) Reanalyze(edits []incremental.Edit) (*ReanalyzeStats, error) 
 	if stats.Full {
 		a.runFull()
 	} else {
-		carried := a.runIncremental(plan)
-		if len(a.Unbounded) > carried {
-			// The feedback guard fired inside the dirty cone: its cutoff
-			// point is order-dependent, so only a from-scratch drain gives
-			// the canonical answer. (Guard hits wholly in the clean region
-			// carry over unchanged — the clean region's event stream is
-			// independent of the dirty cone, so its cutoffs are already
-			// canonical.)
-			stats.Full, stats.Reason = true, "feedback detected in the edited region"
-			a.dropHier()
-			a.runFull()
-		}
+		a.runIncremental(plan)
 	}
 	a.Truncated = a.Truncated || a.db.Truncated()
 	stats.StagesEvaluated = a.stageEv - evBefore
 	return stats, nil
 }
 
-// dirtyTouchesUnbounded reports whether any node the previous analysis
-// left on the feedback guard is inside the invalidation plan's dirty cone.
-// Guard hits wholly outside the cone are safe to carry: their groups'
-// event streams are frozen, and replay reproduces the complete propagated
-// stream (see nodeHist) — including its length, so downstream guard
-// counts re-accumulate exactly.
-func (a *Analyzer) dirtyTouchesUnbounded(plan *incremental.Plan) bool {
-	for _, n := range a.Unbounded {
-		if plan.NodeDirty(n.Index) {
-			return true
+// geometryOnly reports whether an edit batch changes only sizes and
+// capacitances — nothing the structural feedback graph reads.
+func geometryOnly(edits []incremental.Edit) bool {
+	for _, e := range edits {
+		if e.Kind != incremental.Resize && e.Kind != incremental.AddCap {
+			return false
 		}
 	}
-	return false
+	return true
+}
+
+// dirtyFeedback names the first structural feedback loop, of the previous
+// generation or the current one, that holds a node in the invalidation
+// plan's dirty cone, or returns "" when the cone is loop-free. The cone is
+// closed under the drain's fanout, so a dirty loop member is the only way
+// an edit can reach a loop.
+func (a *Analyzer) dirtyFeedback(plan *incremental.Plan, old *feedback) string {
+	for _, fb := range []*feedback{a.fb, old} {
+		for _, scc := range fb.sccs {
+			for _, idx := range scc {
+				if int(idx) < len(a.Net.Nodes) && plan.NodeDirty(int(idx)) {
+					return "edit reaches a feedback loop (" + a.sccSummary(fb, int(idx)) + ")"
+				}
+			}
+		}
+	}
+	return ""
 }
 
 // rebind repoints the analyzer at the next network generation. Node
@@ -223,12 +236,10 @@ func (a *Analyzer) runFull() {
 // already at the full analysis's fixpoint, and re-applying their candidates
 // is a no-op under the tie-break. Conversely every event inside the dirty
 // cone is rederivable from the boundary: the clean nodes (and inputs)
-// whose events trigger stages into dirty groups.
-// It returns the number of carried-over Unbounded entries: feedback-guard
-// hits wholly in the clean region, which remain canonical (dirty-region
-// hits are dropped and re-detected; the caller falls back to a full run if
-// any new ones appear).
-func (a *Analyzer) runIncremental(plan *incremental.Plan) int {
+// whose events trigger stages into dirty groups. Reanalyze only takes this
+// path when the dirty cone holds no feedback-loop member, so no guard can
+// fire here.
+func (a *Analyzer) runIncremental(plan *incremental.Plan) {
 	nw := a.Net
 	// rebind already re-permuted the per-row state to this generation's
 	// layout (new nodes hold zero rows); only the dirty resets remain.
@@ -244,15 +255,13 @@ func (a *Analyzer) runIncremental(plan *incremental.Plan) int {
 		}
 	}
 	a.queue.Reset()
-	// Carry over guard hits outside the dirty cone (remapped to the new
-	// generation — node indexes are stable). Clean nodes never re-enter the
-	// heap, so they cannot re-report themselves; dropping them would make
-	// Unbounded diverge from what a fresh full run reports.
-	carried := a.Unbounded[:0:0]
-	for _, n := range a.Unbounded {
-		if !plan.NodeDirty(n.Index) {
-			carried = append(carried, nw.Nodes[n.Index])
-		}
+	// Every guard hit is a loop member outside the dirty cone. Clean nodes
+	// never re-enter the heap, so they cannot re-report themselves; carry
+	// the list over, repointed at this generation (node indexes are
+	// stable), or Unbounded would diverge from a fresh full run's.
+	carried := make([]*netlist.Node, len(a.Unbounded))
+	for i, n := range a.Unbounded {
+		carried[i] = nw.Nodes[n.Index]
 	}
 	a.Unbounded = carried
 
@@ -319,5 +328,4 @@ func (a *Analyzer) runIncremental(plan *incremental.Plan) int {
 		}
 	}
 	a.drainRouted(replays)
-	return len(carried)
 }

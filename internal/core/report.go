@@ -26,15 +26,13 @@ func (a *Analyzer) WriteReport(w io.Writer, k int) error {
 		fmt.Fprintf(w, "warning: stage enumeration truncated; times are lower bounds\n")
 	}
 	if len(a.Unbounded) > 0 {
-		fmt.Fprintf(w, "warning: %d node(s) hit the feedback guard:", len(a.Unbounded))
-		for i, n := range a.Unbounded {
-			if i == 4 {
-				fmt.Fprintf(w, " …")
-				break
-			}
-			fmt.Fprintf(w, " %s", n.Name)
+		// Name each guarded loop: its members are where a loop-break goes.
+		loops := a.FeedbackLoops()
+		fmt.Fprintf(w, "warning: %d node(s) hit the feedback guard in %d feedback loop(s); times there are lower bounds\n",
+			len(a.Unbounded), len(loops))
+		for _, l := range loops {
+			fmt.Fprintf(w, "  loop of %d node(s), %d guarded: %s\n", l.Size, l.Guarded, loopNames(l.Nodes, 6))
 		}
-		fmt.Fprintln(w)
 	}
 	if len(paths) == 0 {
 		fmt.Fprintln(w, "no arrivals (did any seeded input reach logic?)")

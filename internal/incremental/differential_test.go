@@ -7,6 +7,7 @@ package incremental_test
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -214,6 +215,29 @@ func TestReanalyzeFallbacks(t *testing.T) {
 		t.Errorf("tiny threshold: Full=false, want fallback (%+v)", stats)
 	}
 	checkAgainstFull(t, a2, seeds, "threshold fallback")
+
+	// An edit whose dirty cone reaches a real feedback loop (an enabled
+	// NAND ring oscillator) ⇒ full, and the reason names the loop.
+	l := gen.NewLib("ring", p)
+	en := l.NW.Node("en")
+	l.NW.MarkInput(en)
+	r0, r1, r2 := l.NW.Node("r0"), l.NW.Node("r1"), l.NW.Node("r2")
+	l.Nand(r0, en, r2)
+	l.Inverter(r0, r1, 1)
+	l.Inverter(r1, r2, 1)
+	a3 := newAnalyzer(t, l.NW, []string{"en"})
+	a3.Opts.ReanalyzeMaxDirty = 1 // the ring is all dirty; test the loop check
+	if err := a3.Run(); err != nil {
+		t.Fatal(err)
+	}
+	stats, err = a3.Reanalyze([]incremental.Edit{{Kind: incremental.AddCap, Node: "r1", Cap: 30e-15}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !stats.Full || !strings.Contains(stats.Reason, "feedback loop (3 nodes: r0 r1 r2)") {
+		t.Errorf("edit on the ring: %+v, want a full fallback naming the loop", stats)
+	}
+	checkAgainstFull(t, a3, []string{"en"}, "feedback fallback")
 }
 
 // circuits available to the fuzzer, all combinational nMOS structures

@@ -12,9 +12,14 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
+
+	"repro/internal/gen"
+	"repro/internal/netlist"
+	"repro/internal/tech"
 )
 
 // dlatchSim loads the repository-level D-latch netlist used across the
@@ -544,5 +549,48 @@ func TestRequestErrors(t *testing.T) {
 	}
 	if st := c.do("GET", "/v1/sessions/"+id+"/critical?n=zebra", nil, nil); st != http.StatusBadRequest {
 		t.Errorf("bad n: %d", st)
+	}
+}
+
+// TestSnapshotNamesFeedbackLoop: a session over a real combinational loop
+// (an enabled NAND ring oscillator) lists the guarded nodes in
+// "unbounded" and the loop itself in "feedback" — its size and members,
+// where a loop-break directive goes. A loop-free session carries neither.
+func TestSnapshotNamesFeedbackLoop(t *testing.T) {
+	p := tech.NMOS4()
+	l := gen.NewLib("ring", p)
+	en := l.NW.Node("en")
+	l.NW.MarkInput(en)
+	r0, r1, r2 := l.NW.Node("r0"), l.NW.Node("r1"), l.NW.Node("r2")
+	l.Nand(r0, en, r2)
+	l.Inverter(r0, r1, 1)
+	l.Inverter(r1, r2, 1)
+	var sim bytes.Buffer
+	if err := netlist.WriteSim(&sim, l.NW); err != nil {
+		t.Fatal(err)
+	}
+	c := newTestClient(t, Options{})
+	created := c.create(SessionConfig{
+		Name: "ring", Sim: sim.String(),
+		Tech: "nmos-4u", Model: "slope", Tables: "analytic",
+		Rise: []string{"en"}, Top: 1,
+	})
+	ar := c.analyze(created.Session, 1)
+	if len(ar.Unbounded) == 0 {
+		t.Fatal("ring oscillator session reports no unbounded nodes")
+	}
+	if len(ar.Feedback) != 1 {
+		t.Fatalf("feedback = %+v, want the one ring", ar.Feedback)
+	}
+	fb := ar.Feedback[0]
+	sort.Strings(fb.Nodes)
+	if fb.Size != 3 || fb.Guarded != len(ar.Unbounded) ||
+		fmt.Sprint(fb.Nodes) != "[r0 r1 r2]" {
+		t.Errorf("feedback loop = %+v, want size 3, %d guarded, nodes [r0 r1 r2]", fb, len(ar.Unbounded))
+	}
+
+	clean := c.analyze(c.create(dlatchConfig(t)).Session, 1)
+	if len(clean.Unbounded) != 0 || len(clean.Feedback) != 0 {
+		t.Errorf("loop-free session reports unbounded %v, feedback %+v", clean.Unbounded, clean.Feedback)
 	}
 }

@@ -146,6 +146,9 @@ type Snapshot struct {
 	// Truncated / Unbounded mirror the analyzer's honesty flags.
 	Truncated bool     `json:"truncated,omitempty"`
 	Unbounded []string `json:"unbounded,omitempty"`
+	// Feedback lists the structural feedback loops holding the Unbounded
+	// nodes — where a loop-break directive goes.
+	Feedback []FeedbackJSON `json:"feedback,omitempty"`
 	// Hier is the hierarchical-analysis provenance when the server runs
 	// with -hier on: how many annotated instances were detected and how
 	// many had their interiors stamped from a class representative versus
@@ -153,6 +156,18 @@ type Snapshot struct {
 	// drop to zero after edits — detached instances re-analyze flat.
 	Hier *HierJSON `json:"hier,omitempty"`
 }
+
+// FeedbackJSON is one guarded feedback loop (core.FeedbackLoop over the
+// wire): its node count, how many members hit the guard, and its first
+// members in node order.
+type FeedbackJSON struct {
+	Size    int      `json:"size"`
+	Guarded int      `json:"guarded"`
+	Nodes   []string `json:"nodes"`
+}
+
+// feedbackNodesMax caps the member names listed per loop.
+const feedbackNodesMax = 8
 
 // HierJSON is the Snapshot's hierarchical-analysis provenance block
 // (core.HierStats over the wire).
@@ -398,6 +413,13 @@ func (s *session) buildSnapshot() *Snapshot {
 	}
 	for _, n := range a.Unbounded {
 		snap.Unbounded = append(snap.Unbounded, n.Name)
+	}
+	for _, l := range a.FeedbackLoops() {
+		fj := FeedbackJSON{Size: l.Size, Guarded: l.Guarded}
+		for _, n := range l.Nodes[:min(len(l.Nodes), feedbackNodesMax)] {
+			fj.Nodes = append(fj.Nodes, n.Name)
+		}
+		snap.Feedback = append(snap.Feedback, fj)
 	}
 	if a.Opts.Hier {
 		hs := a.HierStats()

@@ -16,7 +16,8 @@ test:
 	$(GO) test ./...
 
 # The short suite under the race detector: exercises the shared stage
-# database and worker-pool fan-out concurrently (see docs/PERFORMANCE.md).
+# database, the concurrent prewarm and the RunMany fan-out concurrently
+# (see docs/PERFORMANCE.md).
 race:
 	$(GO) test -race -short ./...
 
@@ -25,9 +26,10 @@ race:
 bench:
 	./scripts/bench.sh
 
-# Scaling + locality records only (BENCH_3/4/5): the worker sweeps, the
-# ingest throughput sweep, and the interleaved reorder A/B with fence
-# counters. Refuses single-CPU runners unless BENCH_ALLOW_SINGLE_CPU=1.
+# Scaling records only (BENCH_3/4): the worker sweep and the ingest
+# throughput sweep. BENCH_5 (the reorder A/B and fence counters) is no
+# longer written: the RCM layout and the speculative drain were deleted.
+# Refuses single-CPU runners unless BENCH_ALLOW_SINGLE_CPU=1.
 bench-scaling:
 	BENCH_ONLY=scaling ./scripts/bench.sh
 

@@ -232,15 +232,16 @@ func BenchmarkE6Capacity(b *testing.B) {
 // processor datapath (register file + ALU + shifter + multiplier +
 // address adder + control PLA) analyzed with the same directives a
 // Crystal user would supply — the reproduction stand-in for the paper's
-// real-chip case studies. The headline benchmark pins the strict-serial
-// drain (workers = 1) so its history stays comparable across machines;
-// BenchmarkE6ChipScaleWorkers sweeps the parallel drain.
+// real-chip case studies. The headline benchmark pins the strict
+// no-goroutine mode (workers = 1) so its history stays comparable across
+// machines; BenchmarkE6ChipScaleWorkers sweeps the worker count.
 func BenchmarkE6ChipScale(b *testing.B) { benchE6Chip(b, 1) }
 
-// BenchmarkE6ChipScaleWorkers runs the same whole-chip analysis under the
-// speculative parallel drain at increasing worker counts (results are
-// bit-identical at every setting — the sweep measures single-run scaling,
-// recorded by scripts/bench.sh into BENCH_3.json).
+// BenchmarkE6ChipScaleWorkers runs the same whole-chip analysis at
+// increasing worker counts, which size the concurrent stage-database
+// prewarm ahead of the serial drain (results are bit-identical at every
+// setting — the sweep measures single-run scaling, recorded by
+// scripts/bench.sh into BENCH_3.json).
 func BenchmarkE6ChipScaleWorkers(b *testing.B) {
 	counts := []int{1, 2, 4}
 	if g := runtime.GOMAXPROCS(0); g != 1 && g != 2 && g != 4 {
@@ -256,7 +257,6 @@ func benchE6Chip(b *testing.B, workers int) {
 	tb := delay.AnalyticTables(p)
 	var trans, stages int
 	var crit float64
-	var drain core.DrainStats
 	for i := 0; i < b.N; i++ {
 		nw, err := gen.Chip(p, 32)
 		if err != nil {
@@ -294,106 +294,11 @@ func benchE6Chip(b *testing.B, workers int) {
 		}
 		crit = ev.T
 		stages = a.StagesEvaluated()
-		drain = a.DrainStats()
 	}
 	b.ReportMetric(float64(trans), "transistors")
 	b.ReportMetric(float64(stages), "stages")
 	b.ReportMetric(crit*1e9, "ns-crit")
 	b.ReportMetric(float64(trans)/b.Elapsed().Seconds()*float64(b.N), "trans/s")
-	// Parallel drains publish their fence counters so bench.sh can record
-	// them (BENCH_5) even when the scaling itself is degenerate.
-	if workers > 1 && drain.Batches > 0 {
-		b.ReportMetric(float64(drain.BatchItems)/float64(drain.Batches), "batch-size")
-		b.ReportMetric(float64(drain.FenceStalls), "fence-stalls")
-		b.ReportMetric(float64(drain.CommitDepth), "commit-depth")
-		if drain.SpecLive > 0 {
-			b.ReportMetric(float64(drain.SpecUsed)/float64(drain.SpecLive), "occupancy")
-		}
-		b.ReportMetric(float64(drain.Regions), "regions")
-	}
-}
-
-// BenchmarkE6ReorderAB is the interleaved locality A/B: per iteration it
-// analyzes the same chip-scale network twice on the same runner — once
-// with the RCM row reordering, once with the identity layout, order
-// alternating so neither side systematically inherits a warm cache — and
-// reports the per-side median analysis times plus the improvement. The
-// network is built once; only compile + seed + drain is timed, which is
-// exactly the region the permutation can affect. Recorded by
-// scripts/bench.sh into BENCH_5.json.
-func BenchmarkE6ReorderAB(b *testing.B) {
-	p := tech.NMOS4()
-	tb := delay.AnalyticTables(p)
-	nw, err := gen.Chip(p, 32)
-	if err != nil {
-		b.Fatal(err)
-	}
-	fixed, loopBreak := gen.ChipDirectives(32)
-
-	analyze := func(noReorder bool) (time.Duration, float64) {
-		opts := core.Options{Workers: 1, NoReorder: noReorder}
-		for _, name := range loopBreak {
-			if n := nw.Lookup(name); n != nil {
-				opts.LoopBreak = append(opts.LoopBreak, n)
-			}
-		}
-		start := time.Now()
-		a := core.New(nw, delay.NewSlope(tb), opts)
-		for name, v := range fixed {
-			n := nw.Lookup(name)
-			if n == nil {
-				b.Fatalf("missing directive node %s", name)
-			}
-			a.SetFixed(n, switchsim.FromBool(v == "1"))
-		}
-		for _, in := range nw.Inputs() {
-			if _, isFixed := fixed[in.Name]; isFixed {
-				continue
-			}
-			a.SetInputEvent(in, tech.Rise, 0, 0)
-			a.SetInputEvent(in, tech.Fall, 0, 0)
-		}
-		if err := a.Run(); err != nil {
-			b.Fatal(err)
-		}
-		d := time.Since(start)
-		ev, _ := a.MaxArrival()
-		if !ev.Valid {
-			b.Fatal("no arrival")
-		}
-		return d, ev.T
-	}
-
-	var on, off []time.Duration
-	for i := 0; i < b.N; i++ {
-		var dOn, dOff time.Duration
-		var tOn, tOff float64
-		if i%2 == 0 {
-			dOff, tOff = analyze(true)
-			dOn, tOn = analyze(false)
-		} else {
-			dOn, tOn = analyze(false)
-			dOff, tOff = analyze(true)
-		}
-		if tOn != tOff {
-			b.Fatalf("critical arrival differs: reorder on %g vs off %g", tOn, tOff)
-		}
-		on = append(on, dOn)
-		off = append(off, dOff)
-	}
-	medianNs := func(ds []time.Duration) float64 {
-		s := append([]time.Duration(nil), ds...)
-		for i := 1; i < len(s); i++ {
-			for j := i; j > 0 && s[j] < s[j-1]; j-- {
-				s[j], s[j-1] = s[j-1], s[j]
-			}
-		}
-		return float64(s[len(s)/2].Nanoseconds())
-	}
-	mOn, mOff := medianNs(on), medianNs(off)
-	b.ReportMetric(mOn, "ns-reorder-on")
-	b.ReportMetric(mOff, "ns-reorder-off")
-	b.ReportMetric((mOff-mOn)/mOff*100, "improvement-pct")
 }
 
 // BenchmarkE6HierAB is the hierarchical-macromodel A/B (BENCH_9): per
@@ -503,7 +408,7 @@ func BenchmarkE6HierAB(b *testing.B) {
 
 // BenchmarkHierXL is the BENCH_9 scale point: the chip:64,40 grid (~2.4M
 // transistors, 40 tile instances) analyzed once with hierarchical
-// stamping at full drain parallelism. Flat analysis at this scale is
+// stamping at the full worker count. Flat analysis at this scale is
 // minutes of wall time, so only the hier arm runs; the recorded metrics
 // are the wall time, the live heap after the run (the RSS-sublinearity
 // evidence: stamped interiors carry copied events but no stage
@@ -769,7 +674,7 @@ func benchIngestParse(b *testing.B, workers int) {
 }
 
 // BenchmarkIngestParse measures .sim parse throughput of the chip-scale
-// netlist: the strict-serial parser and the chunked parallel parser at
+// netlist: the chunked parser on one worker (strict serial) and at
 // increasing worker counts (results are byte-identical at every count;
 // scripts/bench.sh records the sweep into BENCH_4.json).
 func BenchmarkIngestParse(b *testing.B) {
@@ -808,16 +713,15 @@ func BenchmarkIngestSnapshotLoad(b *testing.B) {
 
 var (
 	ingestXLOnce  sync.Once
-	ingestXLV1    string // v1-format .simx path
-	ingestXLV2    string // v2-format .simx path
+	ingestXLV2    string // .simx path
 	ingestXLHash  [32]byte
 	ingestXLTrans int
 	ingestXLNodes int
 )
 
 // ingestXLCorpus materializes the E6-XL scale point (chip:32,10 — 100k+
-// nodes, ~182k transistors) once, persisted in both snapshot formats so
-// BENCH_7 compares mmap ingest against the v1 heap decoder on identical
+// nodes, ~182k transistors) once, persisted as a .simx snapshot so
+// BENCH_7 compares mmap ingest against the heap decoder on identical
 // content.
 func ingestXLCorpus(b *testing.B) {
 	b.Helper()
@@ -842,18 +746,7 @@ func ingestXLCorpus(b *testing.B) {
 		if err != nil {
 			panic(err)
 		}
-		ingestXLV1 = filepath.Join(dir, "xl.v1.simx")
 		ingestXLV2 = filepath.Join(dir, "xl.v2.simx")
-		f, err := os.Create(ingestXLV1)
-		if err != nil {
-			panic(err)
-		}
-		if err := netlist.WriteSnapshotV1(f, parsed, ingestXLHash); err != nil {
-			panic(err)
-		}
-		if err := f.Close(); err != nil {
-			panic(err)
-		}
 		if err := netlist.WriteSnapshotFile(ingestXLV2, parsed, ingestXLHash); err != nil {
 			panic(err)
 		}
@@ -861,10 +754,10 @@ func ingestXLCorpus(b *testing.B) {
 }
 
 // BenchmarkIngestXL is the BENCH_7 load comparison on the 100k+ node
-// chip: the mmap + slice-cast v2 path against heap decodes of both
-// formats. Each iteration performs a complete cold load from disk —
+// chip: the mmap + slice-cast path against the heap decode of the same
+// file. Each iteration performs a complete cold load from disk —
 // open/read, validate (both CRCs), build the Network — and discards it;
-// scripts/bench.sh records mmap-vs-v1decode as the BENCH_7 speedup.
+// scripts/bench.sh records mmap-vs-v2decode as the BENCH_7 speedup.
 func BenchmarkIngestXL(b *testing.B) {
 	ingestXLCorpus(b)
 	p := tech.NMOS4()
@@ -913,26 +806,21 @@ func BenchmarkIngestXL(b *testing.B) {
 		}
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(ingestXLNodes), "ns/node")
 	})
-	for _, arm := range []struct{ name, path string }{
-		{"v1decode", ingestXLV1},
-		{"v2decode", ingestXLV2},
-	} {
-		b.Run(arm.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				quiesce(b)
-				data, err := os.ReadFile(arm.path)
-				if err != nil {
-					b.Fatal(err)
-				}
-				nw, hash, err := netlist.ReadSnapshot(bytes.NewReader(data), p)
-				if err != nil {
-					b.Fatal(err)
-				}
-				check(b, nw, hash)
+	b.Run("v2decode", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			quiesce(b)
+			data, err := os.ReadFile(ingestXLV2)
+			if err != nil {
+				b.Fatal(err)
 			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(ingestXLNodes), "ns/node")
-		})
-	}
+			nw, hash, err := netlist.ReadSnapshot(bytes.NewReader(data), p)
+			if err != nil {
+				b.Fatal(err)
+			}
+			check(b, nw, hash)
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(ingestXLNodes), "ns/node")
+	})
 }
 
 // --- Microbenchmarks of the analysis hot paths ------------------------------

@@ -15,8 +15,8 @@
 // toggles in both directions at t=0, the fully vectorless worst case.
 // With -deadline, a slack report follows the critical paths and the exit
 // status is 2 if any endpoint misses the deadline. -workers parallelizes
-// both the .sim parse and the drain of this single analysis (0 selects
-// all cores); arrival times and reports are bit-identical at every
+// the .sim parse and the stage-database prewarm of this single analysis
+// (0 selects all cores; the drain itself is serial); arrival times and reports are bit-identical at every
 // worker count, so the flag is purely a speed knob. -snapshot names a
 // binary .simx cache for the parsed netlist: fresh (same source bytes,
 // same tech) it is loaded in place of parsing, otherwise it is
@@ -53,7 +53,6 @@ type config struct {
 	fix       string
 	inSlope   float64
 	workers   int
-	reorder   string
 	hier      string
 	top       int
 	runERC    bool
@@ -114,8 +113,7 @@ func main() {
 	flag.StringVar(&cfg.fall, "fall", "", "comma list of inputs that fall at t=0")
 	flag.StringVar(&cfg.fix, "fix", "", "comma list of node=0|1 fixed values")
 	flag.Float64Var(&cfg.inSlope, "slope", 1e-9, "input transition time in seconds")
-	flag.IntVar(&cfg.workers, "workers", 1, "drain worker count for one analysis (0 = all cores); results are bit-identical at every setting")
-	flag.StringVar(&cfg.reorder, "reorder", "on", "cache-conscious node reordering of the compiled network: on or off (results are bit-identical either way)")
+	flag.IntVar(&cfg.workers, "workers", 1, "worker count for the .sim parse and the stage-database prewarm of one analysis (0 = all cores); the drain is serial and results are bit-identical at every setting")
 	flag.StringVar(&cfg.hier, "hier", "off", "hierarchical macromodel analysis over instance annotations: on or off (results are bit-identical either way)")
 	flag.IntVar(&cfg.top, "top", 5, "number of critical paths to print")
 	flag.BoolVar(&cfg.runERC, "erc", false, "run electrical rule checks before timing")
@@ -195,17 +193,10 @@ func run(cfg config, w io.Writer) (int, error) {
 		return 0, err
 	}
 
-	// The drain parallelism of the single analysis this command runs.
+	// The prewarm fan-out of the single analysis this command runs.
 	// Reports are built from arrivals, which are bit-identical at every
 	// worker count, so -workers only changes how fast the answer arrives.
 	opts := core.Options{Workers: cfg.workers}
-	switch cfg.reorder {
-	case "on", "":
-	case "off":
-		opts.NoReorder = true
-	default:
-		return 0, fmt.Errorf("-reorder: want on or off, got %q", cfg.reorder)
-	}
 	switch cfg.hier {
 	case "on":
 		opts.Hier = true

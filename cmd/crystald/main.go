@@ -8,7 +8,7 @@
 // Usage:
 //
 //	crystald [-addr :8653] [-max-sessions 16] [-workers 0]
-//	         [-reorder on] [-drain-timeout 30s] [-snapshot-dir DIR]
+//	         [-drain-timeout 30s] [-snapshot-dir DIR]
 //	         [-netarena on] [-job-workers 2] [-job-queue 32]
 //	         [-chaos-job-delay 0] [-chaos-job-fail-every 0]
 //
@@ -67,8 +67,7 @@ import (
 func main() {
 	addr := flag.String("addr", ":8653", "listen address")
 	maxSessions := flag.Int("max-sessions", 16, "LRU session cache bound (memory knob)")
-	workers := flag.Int("workers", 0, "default drain parallelism per analysis (0 = all cores)")
-	reorder := flag.String("reorder", "on", "cache-conscious node reordering of compiled networks: on or off (results are bit-identical either way)")
+	workers := flag.Int("workers", 0, "default per-analysis fan-out of the stage-database prewarm and the .sim parse (0 = all cores); the drain itself is serial")
 	hier := flag.String("hier", "off", "hierarchical macromodel analysis over instance annotations: on or off (results are bit-identical either way)")
 	debugAddr := flag.String("debug-addr", "", "serve net/http/pprof on this second address (empty = disabled; bind to localhost)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "graceful shutdown grace period")
@@ -79,10 +78,6 @@ func main() {
 	chaosJobDelay := flag.Duration("chaos-job-delay", 0, "fault injection: stretch every async job execution by this much (load/chaos harness only)")
 	chaosJobFailEvery := flag.Int("chaos-job-fail-every", 0, "fault injection: fail every Nth async job with a synthetic 500 (load/chaos harness only; 0 = off)")
 	flag.Parse()
-	if *reorder != "on" && *reorder != "off" {
-		fmt.Fprintf(os.Stderr, "crystald: -reorder: want on or off, got %q\n", *reorder)
-		os.Exit(1)
-	}
 	if *netarena != "on" && *netarena != "off" {
 		fmt.Fprintf(os.Stderr, "crystald: -netarena: want on or off, got %q\n", *netarena)
 		os.Exit(1)
@@ -95,7 +90,6 @@ func main() {
 	sv := server.New(server.Options{
 		MaxSessions:    *maxSessions,
 		DefaultWorkers: *workers,
-		NoReorder:      *reorder == "off",
 		Hier:           *hier == "on",
 		SnapshotDir:    *snapshotDir,
 		NoSharedViews:  *netarena == "off",

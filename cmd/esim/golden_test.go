@@ -32,7 +32,7 @@ func loadTestdataSim(t *testing.T, sim string) *netlist.Network {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	nw, err := netlist.ReadSim(sim, params, f)
+	nw, err := netlist.ReadSimParallel(sim, params, f, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

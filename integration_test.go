@@ -24,7 +24,7 @@ func load(t *testing.T, name string, p *tech.Params) *netlist.Network {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	nw, err := netlist.ReadSim(name, p, f)
+	nw, err := netlist.ReadSimParallel(name, p, f, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -60,14 +60,12 @@ type Options struct {
 	// time but never correctness. Obtain one from Analyzer.StageDB after
 	// a Run. Safe to share across concurrent analyzers.
 	DB *stage.DB
-	// Workers sets the parallelism of one analysis (0 selects GOMAXPROCS).
-	// With more than one worker the stage database is prewarmed
-	// concurrently and the event loop itself runs the speculative
-	// parallel drain (see drain.go): frontiers of upcoming events are
-	// evaluated on a worker pool and committed serially in strict queue
-	// order, so arrival times, slopes, provenance and feedback-guard
-	// verdicts are bit-identical at every worker count. Workers = 1 is
-	// the strict no-goroutine mode running the plain serial loop.
+	// Workers sizes the work of one analysis that is independent by
+	// construction (0 selects GOMAXPROCS): with more than one worker the
+	// stage database is prewarmed concurrently before the drain. The
+	// event loop itself is always the serial drain, so arrival times,
+	// slopes, provenance and feedback-guard verdicts are bit-identical at
+	// every worker count. Workers = 1 is the strict no-goroutine mode.
 	Workers int
 	// MaxEventsPerNode bounds combinational feedback: a node on a
 	// structural feedback loop (feedback.go) stops propagating after this
@@ -87,12 +85,6 @@ type Options struct {
 	// further — the user directive Crystal required to cut combinational
 	// feedback (latch internals) out of the worst-case iteration.
 	LoopBreak []*netlist.Node
-	// NoReorder disables the cache-conscious RCM row layout of the
-	// compiled network (netlist.CompileWith) and keeps construction order.
-	// Results are bit-identical either way — the layout only changes which
-	// cache lines the drain touches — so this is purely the -reorder=off
-	// escape hatch and A/B lever.
-	NoReorder bool
 	// ReanalyzeMaxDirty is the dirty-node fraction above which Reanalyze
 	// abandons incremental propagation and redoes the analysis from
 	// scratch — past it, resetting and re-propagating most of the chip
@@ -130,13 +122,8 @@ type Analyzer struct {
 	sim    *switchsim.Sim
 	static []switchsim.Value // settled values under fixed inputs
 
-	// Per-node drain state, indexed by COMPILED ROW (a.cnet.Perm[node]),
-	// not node index: with the RCM layout on, electrically adjacent nodes
-	// share cache lines here too, which is where the drain spends its
-	// improve/commit loads. Everything semantic — queue items, provenance,
-	// reported indexes — stays in node-index space; only array addressing
-	// goes through the permutation (see row).
-	events [][2]Event    // per row: [Rise, Fall]
+	// Per-node drain state, indexed by node index.
+	events [][2]Event    // per node: [Rise, Fall]
 	count  [][2]int      // improvement counters
 	hist   [][2]nodeHist // superseded-but-propagated events (incremental replay)
 
@@ -169,17 +156,6 @@ type Analyzer struct {
 	queued       [][2]bool // per (node, transition): live entry in the queue
 	stageEv      int       // stages evaluated (cost metric)
 
-	// Parallel-drain scratch (see drain.go): frontier slots, the frontier
-	// buffer, the per-region fence (each region's span tracks half the
-	// smallest stage delay committed into it, in minDelayR), and the
-	// cumulative drain counters.
-	spec      []specItem
-	fbuf      []sched.Item
-	fence     sched.RegionFence
-	minDelayR []float64
-	spans     []float64
-	stats     DrainStats
-
 	// db memoizes stage enumeration: sensitization is static during Run,
 	// so a trigger's stages never change. Either a private database or
 	// one shared via Options.DB (stamp-checked in Run).
@@ -193,8 +169,7 @@ type Analyzer struct {
 	// Hierarchical analysis state (nil when Options.Hier is off or nothing
 	// was detected). The masks alias hier's current masks and are checked
 	// in the hot loops; both are nil whenever nothing is stamped, so the
-	// flat path costs one nil check. Indexed by node / transistor index
-	// (not compiled row) — instance geometry lives in index space.
+	// flat path costs one nil check. Indexed by node / transistor index.
 	hier          *hierState
 	hierSkipNode  []bool
 	hierSkipTrans []bool
@@ -480,7 +455,7 @@ func (a *Analyzer) Run() error {
 		a.drainAndStamp()
 	} else {
 		a.seedAll()
-		a.drainRouted(nil)
+		a.drain()
 	}
 	return nil
 }
@@ -489,18 +464,12 @@ func (a *Analyzer) Run() error {
 // loop-break mask for the current a.Net generation.
 func (a *Analyzer) buildGates() {
 	nw := a.Net
-	a.cnet = netlist.CompileWith(nw, netlist.CompileOptions{Reorder: !a.Opts.NoReorder})
+	a.cnet = netlist.Compile(nw)
 	a.loopBreak = make([]bool, len(nw.Nodes))
 	for _, n := range a.Opts.LoopBreak {
-		a.loopBreak[a.cnet.Perm[n.Index]] = true
+		a.loopBreak[n.Index] = true
 	}
 }
-
-// row translates a node index to its compiled row — the index of every
-// per-node drain array (events/count/hist/queued/loopBreak and the
-// Compact's CSR/flag vectors). Queue items, provenance and anything
-// reported stay in node-index space.
-func (a *Analyzer) row(node int) int { return int(a.cnet.Perm[node]) }
 
 // settleStatic computes the static sensitization snapshot for the current
 // a.Net generation: settle the network with fixed values; nodes that
@@ -593,15 +562,14 @@ func (a *Analyzer) drainReplay(replays []replayItem) {
 		// node's current arrival is live.
 		it := a.queue.Pop()
 		node, tr := int(it.Node), tech.Transition(it.Tr)
-		row := a.row(node)
-		if !a.queued[row][tr] || it.T != a.events[row][tr].T {
+		if !a.queued[node][tr] || it.T != a.events[node][tr].T {
 			continue // stale: a fresher entry is in the queue
 		}
-		a.queued[row][tr] = false
-		if a.guardCut(node, row, tr) {
+		a.queued[node][tr] = false
+		if a.guardCut(node, tr) {
 			continue
 		}
-		a.hist[row][tr].propagated = true
+		a.hist[node][tr].propagated = true
 		a.propagate(node, tr)
 	}
 }
@@ -627,8 +595,7 @@ func tieBetter(cand, cur Event) bool {
 // (with a deterministic tie-break at equal times), and queues the node for
 // propagation. Returns whether it improved.
 func (a *Analyzer) improve(node int, tr tech.Transition, ev Event) bool {
-	row := a.row(node)
-	cur := &a.events[row][tr]
+	cur := &a.events[node][tr]
 	if cur.Valid {
 		if ev.T < cur.T {
 			return false
@@ -637,7 +604,7 @@ func (a *Analyzer) improve(node int, tr tech.Transition, ev Event) bool {
 			return false
 		}
 	}
-	if a.cnet.IsRail[row] {
+	if a.cnet.IsRail[node] {
 		return false
 	}
 	// Static pruning: a node pinned at a definite value cannot complete
@@ -649,7 +616,7 @@ func (a *Analyzer) improve(node int, tr tech.Transition, ev Event) bool {
 		if tr == tech.Fall {
 			want = switchsim.V0
 		}
-		if sv != switchsim.VX && sv != want && !a.cnet.Precharged[row] {
+		if sv != switchsim.VX && sv != want && !a.cnet.Precharged[node] {
 			return false
 		}
 	}
@@ -662,7 +629,7 @@ func (a *Analyzer) improve(node int, tr tech.Transition, ev Event) bool {
 	// event, unpruned (see nodeHist), so an incremental re-analysis replays
 	// exactly the stream a full run propagated.
 	if cur.Valid {
-		h := &a.hist[row][tr]
+		h := &a.hist[node][tr]
 		if h.propagated {
 			a.appendHist(h, cur.T, cur.Slope)
 		}
@@ -673,10 +640,10 @@ func (a *Analyzer) improve(node int, tr tech.Transition, ev Event) bool {
 	// payload is read from a.events at pop time, so a duplicate push would
 	// just be skipped as stale. Everything else pushes: the queue tolerates
 	// stale entries, and a new arrival time needs its own priority.
-	samePriority := cur.Valid && ev.T == cur.T && a.queued[row][tr]
+	samePriority := cur.Valid && ev.T == cur.T && a.queued[node][tr]
 	*cur = ev
 	if !samePriority {
-		a.queued[row][tr] = true
+		a.queued[node][tr] = true
 		a.queue.Push(sched.Item{T: ev.T, Node: int32(node), Tr: uint8(tr)})
 	}
 	return true
@@ -684,7 +651,7 @@ func (a *Analyzer) improve(node int, tr tech.Transition, ev Event) bool {
 
 // propagate fans the node's current event out to its consequences.
 func (a *Analyzer) propagate(node int, tr tech.Transition) {
-	a.propagateEvent(node, tr, a.events[a.row(node)][tr])
+	a.propagateEvent(node, tr, a.events[node][tr])
 }
 
 // propagateEvent fans an explicit event out to its consequences. The event
@@ -692,8 +659,7 @@ func (a *Analyzer) propagate(node int, tr tech.Transition) {
 // passes historical ones: superseded events whose steeper slopes a full run
 // propagated before they were overwritten.
 func (a *Analyzer) propagateEvent(node int, tr tech.Transition, ev Event) {
-	row := a.row(node)
-	if a.loopBreak[row] {
+	if a.loopBreak[node] {
 		return // user directive: record the arrival, cut the fanout
 	}
 	if !ev.Valid {
@@ -713,7 +679,7 @@ func (a *Analyzer) propagateEvent(node int, tr tech.Transition, ev Event) {
 	// then Fall; release: group order, Rise before Fall per member), so the
 	// candidate sequence improve sees is unchanged.
 	cn := a.cnet
-	for _, ref := range cn.GateRef[cn.GateStart[row]:cn.GateStart[row+1]] {
+	for _, ref := range cn.Gates(node) {
 		ti, on1 := netlist.UnpackGateRef(ref)
 		if a.hierSkipTrans != nil && int(ti) < len(a.hierSkipTrans) && a.hierSkipTrans[ti] {
 			continue // stamped member device
@@ -738,7 +704,7 @@ func (a *Analyzer) propagateEvent(node int, tr tech.Transition, ev Event) {
 	// stages that produced their events already targeted every node of
 	// the driven group, and re-propagating would bounce arrivals back
 	// and forth across channel-connected pairs forever.
-	if cn.IsInput[row] && cn.HasTerms[row] {
+	if cn.IsInput[node] && cn.HasTerms[node] {
 		stages, trunc := a.db.From(a.Net.Nodes[node], tr)
 		a.Truncated = a.Truncated || trunc
 		for _, st := range stages {

@@ -36,7 +36,7 @@ func conformanceDirectives(spec string) (map[string]string, []string) {
 // family in the generator registry is pushed through each analysis
 // engine, and the engines must agree.
 //
-//   - Parallel drain: workers=8 is bit-identical to workers=1 (arrivals,
+//   - Worker count: workers=8 is bit-identical to workers=1 (arrivals,
 //     slopes, provenance, feedback-guard verdicts, evaluation counts).
 //   - Incremental engine: Reanalyze after a no-op edit reproduces the
 //     full run's arrivals exactly.

@@ -267,20 +267,19 @@ func (a *Analyzer) buildFeedbackGraph() {
 	a.fb = buildFeedback(a.Net, a.oracle(), lb)
 }
 
-// guardCut is the feedback guard, shared by the serial and parallel drains:
-// it counts one propagation round of the popped (node, tr) at row and
-// reports whether the round must be cut. Only members of a structural
+// guardCut is the feedback guard: it counts one propagation round of the
+// popped (node, tr) and reports whether the round must be cut. Only members of a structural
 // feedback loop are counted — on every other node the event stream is
 // finite, so the drain needs no bound there. Rounds, not improvements, are
 // counted, so deep relaxation inside a loop is unaffected while a spinning
 // cycle (which re-queues forever) is stopped; the node is listed in
 // Unbounded on its first cut round.
-func (a *Analyzer) guardCut(node, row int, tr tech.Transition) bool {
+func (a *Analyzer) guardCut(node int, tr tech.Transition) bool {
 	if a.fb.sccOf[node] < 0 {
 		return false
 	}
-	a.count[row][tr]++
-	switch c := a.count[row][tr]; {
+	a.count[node][tr]++
+	switch c := a.count[node][tr]; {
 	case c <= a.Opts.MaxEventsPerNode:
 		return false
 	case c == a.Opts.MaxEventsPerNode+1:

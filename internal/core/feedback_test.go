@@ -77,7 +77,7 @@ func stageGraph(a *Analyzer) (start, adj []int32) {
 		for _, tr := range []tech.Transition{tech.Rise, tech.Fall} {
 			v := 2*i + int(tr)
 			start[v] = int32(len(adj))
-			if nd.IsRail() || a.loopBreak[a.row(i)] {
+			if nd.IsRail() || a.loopBreak[i] {
 				continue
 			}
 			var stages []*stage.Stage

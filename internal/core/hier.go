@@ -228,7 +228,7 @@ func (a *Analyzer) hierContextMismatch(p *hier.Plan, rep, m int, seeds map[int][
 		if a.static != nil && a.static[ri] != a.static[mi] {
 			return "static sensitization differs from the representative"
 		}
-		if a.loopBreak[a.row(ri)] != a.loopBreak[a.row(mi)] {
+		if a.loopBreak[ri] != a.loopBreak[mi] {
 			return "loop-break directives differ from the representative"
 		}
 		sr, sm := seeds[ri], seeds[mi]
@@ -289,7 +289,7 @@ func (a *Analyzer) dropHier() {
 // a stamped interior and one drain suffices.
 func (a *Analyzer) drainAndStamp() {
 	a.seedAll()
-	a.drainRouted(nil)
+	a.drain()
 	a.stampMembers()
 }
 
@@ -319,18 +319,17 @@ func (a *Analyzer) stampMembers() {
 			}
 			mem := &hs.plan.Instances[mi]
 			for r, repIdx := range rep.Interior {
-				rowR := a.row(int(repIdx))
-				rowM := a.row(int(mem.Interior[r]))
+				rn, mn := int(repIdx), int(mem.Interior[r])
 				for tr := 0; tr < 2; tr++ {
-					ev := a.events[rowR][tr]
+					ev := a.events[rn][tr]
 					if ev.Valid && ev.FromNode >= 0 {
 						if rank := hs.plan.Rank(repID, int32(ev.FromNode)); rank >= 0 {
 							ev.FromNode = int(mem.Interior[rank])
 						}
 					}
-					a.events[rowM][tr] = ev
-					a.freeHist(&a.hist[rowM][tr])
-					a.queued[rowM][tr] = false
+					a.events[mn][tr] = ev
+					a.freeHist(&a.hist[mn][tr])
+					a.queued[mn][tr] = false
 				}
 			}
 		}
@@ -341,7 +340,7 @@ func (a *Analyzer) stampMembers() {
 // stage translated into the node's own instance when the node carries
 // stamped timing. Everything reported to callers goes through here.
 func (a *Analyzer) eventAt(node int, tr tech.Transition) Event {
-	ev := a.events[a.row(node)][tr]
+	ev := a.events[node][tr]
 	if a.hier != nil && ev.Via != nil {
 		ev.Via = a.hier.remapVia(a, node, ev.Via)
 	}

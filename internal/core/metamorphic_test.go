@@ -25,20 +25,12 @@ var metamorphicFamilies = []string{"invchain:6", "fanout:4", "passchain:6"}
 // full parse-analyze pipeline so the relation covers the reader too.
 func metamorphicAnalyze(t *testing.T, simText string) *Analyzer {
 	t.Helper()
-	return metamorphicAnalyzeOpts(t, simText, Options{})
-}
-
-// metamorphicAnalyzeOpts is metamorphicAnalyze with explicit analyzer
-// options, for the relations that sweep worker counts and the reorder
-// setting.
-func metamorphicAnalyzeOpts(t *testing.T, simText string, opts Options) *Analyzer {
-	t.Helper()
 	p := tech.NMOS4()
-	nw, err := netlist.ReadSim("meta", p, strings.NewReader(simText))
+	nw, err := netlist.ReadSimParallel("meta", p, strings.NewReader(simText), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := buildAnalyzer(t, nw, delay.NewSlope(delay.AnalyticTables(p)), nil, nil, opts)
+	a := buildAnalyzer(t, nw, delay.NewSlope(delay.AnalyticTables(p)), nil, nil, Options{})
 	if err := a.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +151,7 @@ func TestMetamorphicSimRenaming(t *testing.T) {
 			text := simText(t, nw)
 			rename := func(s string) string { return "zz_" + s + "_q" }
 			read := func(text string) *netlist.Network {
-				rnw, err := netlist.ReadSim("meta", p, strings.NewReader(text))
+				rnw, err := netlist.ReadSimParallel("meta", p, strings.NewReader(text), 0)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -225,53 +217,6 @@ func TestMetamorphicSimRenaming(t *testing.T) {
 			for i, n := range base.Nodes {
 				if w, g := sim.Value(n), rsim.Value(ren.Nodes[i]); w != g {
 					t.Errorf("scalar: node %s = %s, renamed %s", n.Name, w, g)
-				}
-			}
-		})
-	}
-}
-
-// TestMetamorphicReorderIdentity: the cache-conscious row reordering of
-// the compiled network is an addressing change, not a semantic one. For
-// every family, every worker count and both reorder settings, arrivals
-// (time, slope, provenance), the Unbounded list, truncation and the
-// evaluation count must be bit-identical to the serial reorder-off
-// baseline — and the relation must also commute with renaming, so the
-// permutation cannot be smuggling name-dependent state into results.
-func TestMetamorphicReorderIdentity(t *testing.T) {
-	for _, spec := range metamorphicFamilies {
-		t.Run(strings.ReplaceAll(spec, ":", "-"), func(t *testing.T) {
-			p := tech.NMOS4()
-			nw, err := gen.Build(spec, p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			text := simText(t, nw)
-			base := metamorphicAnalyzeOpts(t, text, Options{Workers: 1, NoReorder: true})
-			for _, workers := range []int{1, 2, 8} {
-				for _, noReorder := range []bool{false, true} {
-					label := fmt.Sprintf("w%d-reorder=%v", workers, !noReorder)
-					got := metamorphicAnalyzeOpts(t, text,
-						Options{Workers: workers, NoReorder: noReorder})
-					requireIdentical(t, label, base, got, false)
-				}
-			}
-
-			// Renaming + reordering together: rename every node, run with
-			// reordering on at each worker count, and demand the same
-			// arrivals as the un-renamed baseline (indexes are preserved
-			// by first-appearance order, so positions compare directly).
-			renamed := mapSimNames(text, func(s string) string { return "rr_" + s })
-			for _, workers := range []int{1, 2, 8} {
-				ren := metamorphicAnalyzeOpts(t, renamed, Options{Workers: workers})
-				for i, n := range base.Net.Nodes {
-					rn := ren.Net.Nodes[i]
-					for _, tr := range []tech.Transition{tech.Rise, tech.Fall} {
-						if w, g := base.Arrival(n, tr), ren.Arrival(rn, tr); !sameEvent(w, g) {
-							t.Errorf("w%d: arrival %s/%s changed under rename+reorder: %+v vs %+v",
-								workers, n.Name, tr, w, g)
-						}
-					}
 				}
 			}
 		})

@@ -170,12 +170,10 @@ func (a *Analyzer) dirtyFeedback(plan *incremental.Plan, old *feedback) string {
 }
 
 // rebind repoints the analyzer at the next network generation. Node
-// indexes are stable across edits, so index-keyed state (fixed values,
-// initial values) carries over untouched; node pointers must be remapped,
-// and the ROW-indexed drain state re-permuted: recompiling yields a new
-// RCM layout (added nodes and devices shift the whole walk), so every
-// per-row array is rewritten old-row → node index → new-row. History
-// chunk indexes are arena-flat and survive unchanged.
+// indexes are stable across edits and nodes are never deleted, so
+// index-keyed state (fixed values, initial values, the per-node drain
+// arrays) carries over untouched and only grows to cover added nodes;
+// node pointers must be remapped.
 func (a *Analyzer) rebind(nw *netlist.Network) {
 	a.Net = nw
 	for i := range a.seeded {
@@ -185,25 +183,12 @@ func (a *Analyzer) rebind(nw *netlist.Network) {
 		a.Opts.LoopBreak[i] = nw.Nodes[n.Index]
 	}
 	a.Opts.DB = nil // a caller-shared DB describes the old generation
-	old := a.cnet
 	a.buildGates()
-	if a.events == nil || old == nil {
-		return
-	}
-	n := len(nw.Nodes)
-	events := make([][2]Event, n)
-	count := make([][2]int, n)
-	hist := make([][2]nodeHist, n)
-	queued := make([][2]bool, n)
-	for oldRow := range a.events {
-		orig := old.InvPerm[oldRow]
-		nr := a.cnet.Perm[orig]
-		events[nr] = a.events[oldRow]
-		count[nr] = a.count[oldRow]
-		hist[nr] = a.hist[oldRow]
-		queued[nr] = a.queued[oldRow]
-	}
-	a.events, a.count, a.hist, a.queued = events, count, hist, queued
+	grow := len(nw.Nodes) - len(a.events)
+	a.events = append(a.events, make([][2]Event, grow)...)
+	a.count = append(a.count, make([][2]int, grow)...)
+	a.hist = append(a.hist, make([][2]nodeHist, grow)...)
+	a.queued = append(a.queued, make([][2]bool, grow)...)
 }
 
 // runFull redoes the analysis from scratch over the current generation
@@ -222,7 +207,7 @@ func (a *Analyzer) runFull() {
 		a.db.Prewarm(w)
 	}
 	a.seedAll()
-	a.drainRouted(nil)
+	a.drain()
 }
 
 // runIncremental resets only the dirty arrivals and re-propagates from the
@@ -241,17 +226,16 @@ func (a *Analyzer) runFull() {
 // fire here.
 func (a *Analyzer) runIncremental(plan *incremental.Plan) {
 	nw := a.Net
-	// rebind already re-permuted the per-row state to this generation's
-	// layout (new nodes hold zero rows); only the dirty resets remain.
+	// rebind already grew the per-node state to this generation (new
+	// nodes hold zero entries); only the dirty resets remain.
 	for i := range nw.Nodes {
 		if plan.NodeDirty(i) {
-			row := a.row(i)
-			a.events[row] = [2]Event{}
-			a.count[row] = [2]int{}
-			for tr := range a.hist[row] {
-				a.freeHist(&a.hist[row][tr])
+			a.events[i] = [2]Event{}
+			a.count[i] = [2]int{}
+			for tr := range a.hist[i] {
+				a.freeHist(&a.hist[i][tr])
 			}
-			a.queued[row] = [2]bool{}
+			a.queued[i] = [2]bool{}
 		}
 	}
 	a.queue.Reset()
@@ -293,16 +277,15 @@ func (a *Analyzer) runIncremental(plan *incremental.Plan) {
 		if !touches {
 			continue
 		}
-		row := a.row(i)
 		for _, tr := range []tech.Transition{tech.Rise, tech.Fall} {
-			h := &a.hist[row][tr]
+			h := &a.hist[i][tr]
 			for ci := h.head; ci != 0; ci = a.histChunkAt(ci).next {
 				c := a.histChunkAt(ci)
 				for k := int32(0); k < c.n; k++ {
 					replays = append(replays, replayItem{i, tr, c.ev[k].t, c.ev[k].slope})
 				}
 			}
-			if ev := a.events[row][tr]; ev.Valid && h.propagated {
+			if ev := a.events[i][tr]; ev.Valid && h.propagated {
 				replays = append(replays, replayItem{i, tr, ev.T, ev.Slope})
 			}
 		}
@@ -327,5 +310,5 @@ func (a *Analyzer) runIncremental(plan *incremental.Plan) {
 			})
 		}
 	}
-	a.drainRouted(replays)
+	a.drainReplay(replays)
 }

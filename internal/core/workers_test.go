@@ -12,7 +12,7 @@ import (
 	"repro/internal/tech"
 )
 
-// parallelFamilies are the circuit families the drain-identity tests sweep:
+// parallelFamilies are the circuit families the workers-identity tests sweep:
 // gate-load dominated (ALU), deep carry relaxation (RippleAdder), pass-
 // transistor channels (PassChain), precharged dynamic logic (PrechargedBus),
 // the chip-scale mix with loop-break directives, and the same chip without
@@ -107,12 +107,14 @@ func requireIdentical(t *testing.T, label string, want, got *Analyzer, sameDB bo
 	}
 }
 
-// TestParallelDrainIdentity pins the tentpole guarantee: the speculative
-// parallel drain produces bit-identical results to the strict serial loop
-// at every worker count, across every circuit family. The shared-database
-// variant also requires identical Via provenance pointers — the parallel
-// commit must apply the exact stage objects the serial run applies.
-func TestParallelDrainIdentity(t *testing.T) {
+// TestWorkersIdentity pins the worker-count guarantee: an analysis whose
+// stage database was prewarmed concurrently produces bit-identical results
+// to the strict no-goroutine run at every worker count, across every
+// circuit family. The shared-database variant also requires identical Via
+// provenance pointers — the drain must apply the exact stage objects the
+// serial run applies; the private variant checks a concurrently built
+// database enumerates the same stages as a lazily built one.
+func TestWorkersIdentity(t *testing.T) {
 	p := tech.NMOS4()
 	m := delay.NewSlope(delay.AnalyticTables(p))
 	for _, fam := range parallelFamilies(t, p) {
@@ -121,7 +123,7 @@ func TestParallelDrainIdentity(t *testing.T) {
 			if err := base.Run(); err != nil {
 				t.Fatal(err)
 			}
-			for _, workers := range []int{2, 4, 8} {
+			for _, workers := range []int{2, 8} {
 				// Shared database: Via pointers must match exactly.
 				a := buildAnalyzer(t, fam.nw, m, fam.fix, fam.lb,
 					Options{Workers: workers, DB: base.StageDB()})
@@ -141,10 +143,10 @@ func TestParallelDrainIdentity(t *testing.T) {
 	}
 }
 
-// TestParallelDrainIdentityAllModels sweeps the three delay models at one
-// worker count — the speculation path evaluates the model concurrently, so
-// each model's memoization must be race-free and value-identical.
-func TestParallelDrainIdentityAllModels(t *testing.T) {
+// TestWorkersIdentityAllModels sweeps the three delay models at one
+// worker count: each model evaluates over stages the concurrent prewarm
+// built, and must give the values it gives over lazily built ones.
+func TestWorkersIdentityAllModels(t *testing.T) {
 	p := tech.NMOS4()
 	tb := delay.AnalyticTables(p)
 	nw, err := gen.ALU(p, 4)
@@ -173,11 +175,10 @@ func TestParallelDrainIdentityAllModels(t *testing.T) {
 	}
 }
 
-// TestParallelDrainIdentityChipScale runs the full E6 experiment circuit
-// (Chip at width 32, the benchmark workload) through the parallel drain —
-// the scale where frontier batches actually fill up and preemption and
-// staleness churn occur in volume.
-func TestParallelDrainIdentityChipScale(t *testing.T) {
+// TestWorkersIdentityChipScale runs the full E6 experiment circuit (Chip
+// at width 32, the benchmark workload) with a concurrent prewarm — the
+// scale where the prewarm workers contend on shared group entries.
+func TestWorkersIdentityChipScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chip-scale identity sweep skipped in -short")
 	}
@@ -199,12 +200,12 @@ func TestParallelDrainIdentityChipScale(t *testing.T) {
 	requireIdentical(t, "workers=8 shared", base, a, true)
 }
 
-// TestParallelReanalyzeIdentity drains incremental re-analysis through the
-// parallel scheduler: boundary replay items are merged into the frontier,
-// so their candidate generation must follow the same global order as the
-// serial merge. Each edit epoch is checked against a serial analyzer
-// applying the same batch.
-func TestParallelReanalyzeIdentity(t *testing.T) {
+// TestWorkersReanalyzeIdentity runs incremental re-analysis in an
+// analyzer with several workers — whose initial stage database was
+// prewarmed concurrently and whose derived generations inherit those
+// entries — against a serial analyzer applying the same batch at each
+// edit epoch.
+func TestWorkersReanalyzeIdentity(t *testing.T) {
 	p := tech.NMOS4()
 	m := delay.NewSlope(delay.AnalyticTables(p))
 	fix, lb := gen.ChipDirectives(4)

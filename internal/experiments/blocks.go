@@ -162,7 +162,7 @@ type ThroughputRow struct {
 // the same block (a different model, same sensitization); the analyzer's
 // database is reachable from the returned analyzer for further chaining.
 func analyzeBlock(b Block, m delay.Model, db *stage.DB) (*core.Analyzer, time.Duration, error) {
-	opts := core.Options{DB: db, Workers: 1, NoReorder: NoReorder}
+	opts := core.Options{DB: db, Workers: 1}
 	for _, name := range b.LoopBreak {
 		n := b.Net.Lookup(name)
 		if n == nil {

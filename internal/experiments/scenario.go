@@ -30,11 +30,6 @@ import (
 // changes. cmd/delaycmp exposes this as -workers.
 var Workers int
 
-// NoReorder disables the compiled network's RCM locality layout in every
-// analyzer the experiments build (core.Options.NoReorder). Results are
-// bit-identical either way; cmd/delaycmp exposes this as -reorder=on|off.
-var NoReorder bool
-
 // Scenario is one timed measurement on one circuit.
 type Scenario struct {
 	// Name labels the row in reports.
@@ -160,7 +155,7 @@ func (s *Scenario) ModelDelay(m delay.Model) (delay50, outSlope float64, err err
 // so all models of one scenario share one database. Workers is pinned to
 // 1: scenario evaluation is already fanned out at the row level.
 func (s *Scenario) modelDelay(m delay.Model, db *stage.DB) (delay50, outSlope float64, dbOut *stage.DB, err error) {
-	a := core.New(s.Net, m, core.Options{DB: db, Workers: 1, NoReorder: NoReorder})
+	a := core.New(s.Net, m, core.Options{DB: db, Workers: 1})
 	for name, v := range s.Fixed {
 		n := s.Net.Lookup(name)
 		if n == nil {

@@ -10,31 +10,20 @@ package netlist
 // and recompile after edits (generations never mutate a compiled network).
 type Compact struct {
 	// GateStart/GateRef are the CSR adjacency of gate connections:
-	// GateRef[GateStart[r]:GateStart[r+1]] lists the gated devices of the
-	// node in ROW r, each packed as trans index << 1 | conductsOn1.
-	// Always-on devices (depletion loads, wires) are omitted — they do not
-	// respond to their gate, which is exactly the filter the event loop
-	// wants predecoded.
-	//
-	// Rows are the compiled layout order: Perm maps a node index to its
-	// row, InvPerm a row back to the node index. With Reorder off the
-	// mapping is the identity; with it on, rows follow the reverse
-	// Cuthill–McKee walk of the gate/source-drain adjacency (reorder.go),
-	// so electrically adjacent nodes share cache lines in every
-	// row-indexed array. Results never depend on the layout: callers keep
-	// all semantic state (queue order, provenance, reported indexes) in
-	// node-index space and translate through Perm only to address rows.
+	// GateRef[GateStart[n]:GateStart[n+1]] lists the gated devices of node
+	// index n, each packed as trans index << 1 | conductsOn1. Always-on
+	// devices (depletion loads, wires) are omitted — they do not respond
+	// to their gate, which is exactly the filter the event loop wants
+	// predecoded.
 	GateStart []int32
 	GateRef   []int32
 
 	// TermStart/TermRef are the CSR adjacency of channel (source/drain)
-	// connections: TermRef[TermStart[r]:TermStart[r+1]] lists the devices
-	// whose channel touches the node in ROW r, each packed as
+	// connections: TermRef[TermStart[n]:TermStart[n+1]] lists the devices
+	// whose channel touches node index n, each packed as
 	// trans index << 1 | otherIsB, where otherIsB says the far terminal is
 	// the device's B node. The switch-level batch simulator walks this CSR
-	// to propagate strengths; like GateRef it is row-indexed, and the
-	// TransGate/TransA/TransB/TransType columns it refers to are in node-
-	// index space (translate through Perm to address rows).
+	// to propagate strengths.
 	TermStart []int32
 	TermRef   []int32
 
@@ -46,7 +35,7 @@ type Compact struct {
 	TransB    []int32
 	TransType []uint8
 
-	// Per-row flags the drain's improve/propagate steps test.
+	// Per-node flags the drain's improve/propagate steps test.
 	IsRail     []bool
 	IsInput    []bool
 	Precharged []bool
@@ -54,27 +43,6 @@ type Compact struct {
 	// transition rides through conducting pass devices only if some device
 	// touches it).
 	HasTerms []bool
-
-	// Perm maps node index -> row; InvPerm maps row -> node index.
-	Perm    []int32
-	InvPerm []int32
-	// Reordered reports whether Perm is a non-identity RCM layout.
-	Reordered bool
-
-	// Region maps a NODE INDEX (not a row) to its fence region: the
-	// weakly-connected component of the gate graph with rails and
-	// input-driven gate edges removed (see reorder.go). Consequences of an
-	// event at an internal node stay inside the node's region, which makes
-	// regions the independence domains of the speculative drain's span
-	// fences. NumRegions counts them (rails are singletons).
-	Region     []int32
-	NumRegions int
-}
-
-// CompileOptions configures compilation.
-type CompileOptions struct {
-	// Reorder applies the RCM locality permutation to the row layout.
-	Reorder bool
 }
 
 // PackGateRef packs a gate adjacency entry.
@@ -108,26 +76,15 @@ func UnpackTermRef(r int32) (transIndex int, otherIsB bool) {
 	return int(r >> 1), r&1 == 1
 }
 
-// Compile builds the compact form of nw in construction order (identity
-// layout). Use CompileWith to apply the locality reordering.
+// Compile builds the compact form of nw, one row per node in node-index
+// order.
 func Compile(nw *Network) *Compact {
-	return CompileWith(nw, CompileOptions{})
-}
-
-// CompileWith builds the compact form of nw under the given options.
-func CompileWith(nw *Network, opt CompileOptions) *Compact {
-	ord := buildOrder(nw, opt.Reorder)
 	c := &Compact{
 		GateStart:  make([]int32, len(nw.Nodes)+1),
 		IsRail:     make([]bool, len(nw.Nodes)),
 		IsInput:    make([]bool, len(nw.Nodes)),
 		Precharged: make([]bool, len(nw.Nodes)),
 		HasTerms:   make([]bool, len(nw.Nodes)),
-		Perm:       ord.perm,
-		InvPerm:    ord.inv,
-		Reordered:  opt.Reorder,
-		Region:     ord.region,
-		NumRegions: ord.regions,
 	}
 	total := 0
 	terms := 0
@@ -142,8 +99,7 @@ func CompileWith(nw *Network, opt CompileOptions) *Compact {
 	c.GateRef = make([]int32, 0, total)
 	c.TermStart = make([]int32, len(nw.Nodes)+1)
 	c.TermRef = make([]int32, 0, terms)
-	for row := range nw.Nodes {
-		n := nw.Nodes[ord.inv[row]]
+	for row, n := range nw.Nodes {
 		c.GateStart[row] = int32(len(c.GateRef))
 		for _, t := range n.Gates {
 			if t.AlwaysOn() {
@@ -175,19 +131,12 @@ func CompileWith(nw *Network, opt CompileOptions) *Compact {
 	return c
 }
 
-// Gates returns the packed gate refs of node index n (translating through
-// the row permutation).
+// Gates returns the packed gate refs of node index n.
 func (c *Compact) Gates(n int) []int32 {
-	r := c.Perm[n]
-	return c.GateRef[c.GateStart[r]:c.GateStart[r+1]]
+	return c.GateRef[c.GateStart[n]:c.GateStart[n+1]]
 }
 
-// Terms returns the packed channel refs of node index n (translating
-// through the row permutation).
+// Terms returns the packed channel refs of node index n.
 func (c *Compact) Terms(n int) []int32 {
-	r := c.Perm[n]
-	return c.TermRef[c.TermStart[r]:c.TermStart[r+1]]
+	return c.TermRef[c.TermStart[n]:c.TermStart[n+1]]
 }
-
-// Row returns the compiled row of node index n.
-func (c *Compact) Row(n int) int { return int(c.Perm[n]) }

@@ -29,8 +29,9 @@ func ExampleNetwork() {
 	// @ out out
 }
 
-// ExampleReadSim parses a small netlist and reports its statistics.
-func ExampleReadSim() {
+// ExampleReadSimParallel parses a small netlist and reports its
+// statistics.
+func ExampleReadSimParallel() {
 	src := `| units: 100 tech: nmos
 e in out GND 2 2
 d out Vdd out 8 2
@@ -39,7 +40,7 @@ C far GND 120
 @ in in
 @ out far
 `
-	nw, err := netlist.ReadSim("example", tech.NMOS4(), strings.NewReader(src))
+	nw, err := netlist.ReadSimParallel("example", tech.NMOS4(), strings.NewReader(src), 0)
 	if err != nil {
 		fmt.Println(err)
 		return

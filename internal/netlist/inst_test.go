@@ -28,7 +28,7 @@ d out Vdd out 8 2
 // instNetwork returns a checked network carrying instance annotations.
 func instNetwork(t *testing.T, p *tech.Params) *Network {
 	t.Helper()
-	nw, err := ReadSim("inst", p, strings.NewReader(instSampleSim))
+	nw, err := ReadSimParallel("inst", p, strings.NewReader(instSampleSim), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestSnapshotV2InstanceRoundTrip(t *testing.T) {
 	nw := instNetwork(t, p)
 	hash := sha256.Sum256([]byte(instSampleSim))
 	var buf bytes.Buffer
-	if err := WriteSnapshotV2(&buf, nw, hash); err != nil {
+	if err := WriteSnapshot(&buf, nw, hash); err != nil {
 		t.Fatal(err)
 	}
 	got, gotHash, err := ReadSnapshot(bytes.NewReader(buf.Bytes()), p)
@@ -165,30 +165,6 @@ func TestSnapshotV2InstanceFreeBytes(t *testing.T) {
 	}
 }
 
-// TestSnapshotV1DropsInstances documents the deliberate v1 lossiness:
-// the legacy format has no instance section, so a v1 round trip of an
-// instance-bearing network yields the same electrical network with the
-// annotations stripped.
-func TestSnapshotV1DropsInstances(t *testing.T) {
-	p := tech.NMOS4()
-	nw := instNetwork(t, p)
-	var buf bytes.Buffer
-	if err := WriteSnapshotV1(&buf, nw, [32]byte{1}); err != nil {
-		t.Fatal(err)
-	}
-	got, _, err := ReadSnapshot(bytes.NewReader(buf.Bytes()), p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Instances) != 0 {
-		t.Fatalf("v1 round trip produced %d instances, want 0", len(got.Instances))
-	}
-	got.Instances = append([]Instance(nil), nw.Instances...)
-	if derr := DiffNetworks(nw, got); derr != nil {
-		t.Fatalf("v1 lost more than the annotations: %v", derr)
-	}
-}
-
 // instSectionEntry locates the section-table entry for id in a v2 image.
 func instSectionEntry(t *testing.T, b []byte, id uint32) []byte {
 	t.Helper()
@@ -210,7 +186,7 @@ func TestSnapshotV2InstanceCorruption(t *testing.T) {
 	p := tech.NMOS4()
 	nw := instNetwork(t, p)
 	var buf bytes.Buffer
-	if err := WriteSnapshotV2(&buf, nw, sha256.Sum256([]byte(instSampleSim))); err != nil {
+	if err := WriteSnapshot(&buf, nw, sha256.Sum256([]byte(instSampleSim))); err != nil {
 		t.Fatal(err)
 	}
 	data := buf.Bytes()

@@ -33,9 +33,9 @@ type LoadOptions struct {
 	// load from when fresh and rewrite after a parse. Empty disables
 	// caching.
 	Snapshot string
-	// NoMmap disables the memory-mapped snapshot fast path; fresh v2
-	// snapshots are then heap-decoded like v1 ones. Used by benchmarks
-	// and fallback tests; production callers leave it false.
+	// NoMmap disables the memory-mapped snapshot fast path; fresh
+	// snapshots are then heap-decoded. Used by benchmarks and fallback
+	// tests; production callers leave it false.
 	NoMmap bool
 }
 
@@ -43,8 +43,8 @@ type LoadOptions struct {
 const (
 	// SourceMmap: a fresh v2 snapshot served as a zero-copy mapped view.
 	SourceMmap = "mmap"
-	// SourceSnapshot: a fresh snapshot heap-decoded (v1 file, NoMmap,
-	// or a platform without mmap).
+	// SourceSnapshot: a fresh snapshot heap-decoded (NoMmap, or a
+	// platform without mmap).
 	SourceSnapshot = "snapshot"
 	// SourceParse: no usable snapshot; the .sim text was parsed.
 	SourceParse = "parse"
@@ -66,10 +66,11 @@ func (r LoadResult) FromCache() bool { return r.Source != SourceParse }
 
 // LoadSimFile reads the .sim netlist at path into a checked Network
 // named name, via the snapshot cache when one is configured and fresh.
-// A fresh v2 snapshot is served as a zero-copy memory-mapped view
-// (res.Source == SourceMmap) where the platform supports it; v1 files
-// and mmap failures fall back to the heap decoder, and any snapshot
-// failure at all falls back to a parse. The parse path runs
+// A fresh snapshot is served as a zero-copy memory-mapped view
+// (res.Source == SourceMmap) where the platform supports it; mmap
+// failures fall back to the heap decoder, and any snapshot failure at
+// all — including a file of an older format version — falls back to a
+// parse that rewrites the snapshot in the current version. The parse path runs
 // Network.Check before the snapshot is written, so a snapshot hit skips
 // both the parse and the structural check — a .simx file never holds a
 // network that did not pass. A snapshot that fails to load for any
@@ -120,8 +121,7 @@ func loadFreshSnapshot(path, name string, p *tech.Params, hash [32]byte, noMmap 
 			}
 			m.Close() // stale: the network never escaped, unmapping is safe
 		}
-		// Any mapped-path failure (v1 file, platform quirk) falls through
-		// to the heap decoder, which accepts both versions.
+		// Any mapped-path failure falls through to the heap decoder.
 	}
 	f, err := os.Open(path)
 	if err != nil {

@@ -5,7 +5,7 @@
 // switch-level simulator, and the stage extractor all operate on.
 //
 // Networks can be built programmatically (package gen does so), read from
-// Berkeley .sim files (ReadSim), or written back out (WriteSim).
+// Berkeley .sim files (ReadSimParallel), or written back out (WriteSim).
 package netlist
 
 import (

@@ -120,7 +120,7 @@ N out 25
 
 func TestReadSimBasics(t *testing.T) {
 	p := tech.NMOS4()
-	nw, err := ReadSim("sample", p, strings.NewReader(sampleSim))
+	nw, err := ReadSimParallel("sample", p, strings.NewReader(sampleSim), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +162,7 @@ func TestReadSimBasics(t *testing.T) {
 
 func TestReadSimCapBetweenSignals(t *testing.T) {
 	p := tech.NMOS4()
-	nw, err := ReadSim("c", p, strings.NewReader("C a b 100\n"))
+	nw, err := ReadSimParallel("c", p, strings.NewReader("C a b 100\n"), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +189,7 @@ func TestReadSimErrors(t *testing.T) {
 		{"short N record", "N x\n"},
 	}
 	for _, tc := range cases {
-		if _, err := ReadSim(tc.name, p, strings.NewReader(tc.text)); err == nil {
+		if _, err := ReadSimParallel(tc.name, p, strings.NewReader(tc.text), 1); err == nil {
 			t.Errorf("%s: expected error", tc.name)
 		}
 	}
@@ -211,7 +211,7 @@ func TestSimRoundTrip(t *testing.T) {
 	if err := WriteSim(&sb, nw); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadSim("rt2", p, strings.NewReader(sb.String()))
+	back, err := ReadSimParallel("rt2", p, strings.NewReader(sb.String()), 1)
 	if err != nil {
 		t.Fatalf("round trip parse: %v\n%s", err, sb.String())
 	}
@@ -298,7 +298,7 @@ func TestWireResistors(t *testing.T) {
 	if !strings.Contains(sb.String(), "r a b 12345") {
 		t.Errorf("wire record missing:\n%s", sb.String())
 	}
-	back, err := ReadSim("back", p, strings.NewReader(sb.String()))
+	back, err := ReadSimParallel("back", p, strings.NewReader(sb.String()), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,10 +306,10 @@ func TestWireResistors(t *testing.T) {
 		t.Errorf("wire did not survive round trip: %+v", back.Trans[0])
 	}
 	// Invalid wires are rejected.
-	if _, err := ReadSim("bad", p, strings.NewReader("r a b 0\n")); err == nil {
+	if _, err := ReadSimParallel("bad", p, strings.NewReader("r a b 0\n"), 1); err == nil {
 		t.Error("zero-ohm wire should fail to parse")
 	}
-	if _, err := ReadSim("bad", p, strings.NewReader("r a b\n")); err == nil {
+	if _, err := ReadSimParallel("bad", p, strings.NewReader("r a b\n"), 1); err == nil {
 		t.Error("short wire record should fail")
 	}
 	defer func() {

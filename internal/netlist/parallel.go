@@ -1,9 +1,8 @@
 // Parallel .sim ingest: the chip-scale front door of the verifier.
 //
-// The serial ReadSim is a single-threaded line scanner, and on a
-// multi-megabyte extracted netlist it is the cold-start bottleneck — the
-// engine's parallel drain cannot begin until the last line has parsed.
-// Ingest, however, is embarrassingly parallel *except* for the
+// A single-threaded line scanner is the cold-start bottleneck on a
+// multi-megabyte extracted netlist: the analysis cannot begin until the
+// last line has parsed. Ingest, however, is embarrassingly parallel *except* for the
 // order-dependent parts, so the pipeline splits in two:
 //
 //  1. Tokenize (parallel): the input is cut on line boundaries into one
@@ -21,7 +20,7 @@
 //  3. Merge (serial, in file order): the record streams are replayed
 //     chunk by chunk into a fresh Network over the pre-canonicalized
 //     symbols. Only what is genuinely order-dependent replays here,
-//     exactly as the serial parser would have done it: alias resolution
+//     exactly as a serial scan would: alias resolution
 //     (aliases apply only to later references), node creation order
 //     (first-reference order defines Node.Index), the units: scale in
 //     effect at each transistor line, flow-index range checks against
@@ -29,7 +28,8 @@
 //
 // The contract, pinned by TestParallelParseIdentity and FuzzReadSim: at
 // any worker count ReadSimParallel produces a Network byte-identical to
-// ReadSim's — same node indexes, same transistor order, same adjacency
+// the serial reference parser's (ReadSim, kept in the package tests as
+// the oracle) — same node indexes, same transistor order, same adjacency
 // order, same error on rejected input. Workers follow the core
 // convention: 0 = GOMAXPROCS, 1 = strict serial on the calling
 // goroutine (no goroutines at all), N = at most N.
@@ -74,7 +74,7 @@ const (
 )
 
 // flowUnknown flags a recFlow whose direction token did not parse; the
-// error is deferred to merge because the serial parser reports a bad
+// error is deferred to merge because a serial scan reports a bad
 // transistor index ahead of an unknown direction on the same line.
 const flowUnknown = Flow(-1)
 
@@ -110,10 +110,11 @@ type simChunk struct {
 	errTooLong bool
 }
 
-// ReadSimParallel parses a .sim netlist like ReadSim, tokenizing the
-// input with the given number of workers. The resulting network — and
-// the error on rejected input — is identical to ReadSim's at every
-// worker count.
+// ReadSimParallel parses a .sim netlist (format in simfile.go) from r
+// into a new Network named name, using technology p for defaults,
+// tokenizing the input with the given number of workers. It returns the
+// network or the first syntax error, annotated with a line number; both
+// are identical at every worker count.
 func ReadSimParallel(name string, p *tech.Params, r io.Reader, workers int) (*Network, error) {
 	return readSimChunked(name, p, r, workers, minChunkBytes)
 }
@@ -424,7 +425,7 @@ func tokenizeSimChunk(p *tech.Params, src string) *simChunk {
 // mergeSimChunks replays the tokenized, reconciled chunks, in file
 // order, into a fresh network. This is the serial tail of the pipeline:
 // alias state, node creation, scale, and error selection all advance here
-// exactly as in ReadSim. Names arrive pre-canonicalized (chunk canon
+// exactly as in a serial scan. Names arrive pre-canonicalized (chunk canon
 // tables), so the merge itself never interns — the alias table's keys and
 // values are canonical strings already.
 func mergeSimChunks(name string, p *tech.Params, chunks []*simChunk) (*Network, error) {

@@ -77,7 +77,7 @@ func TestSimRoundTripProperty(t *testing.T) {
 		if err := WriteSim(&sb, nw); err != nil {
 			return false
 		}
-		back, err := ReadSim("back", p, strings.NewReader(sb.String()))
+		back, err := ReadSimParallel("back", p, strings.NewReader(sb.String()), 1)
 		if err != nil {
 			t.Logf("seed %d: reparse failed: %v\n%s", seed, err, sb.String())
 			return false

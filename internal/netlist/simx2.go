@@ -1,8 +1,6 @@
 // The .simx version-2 layout: the memory-mappable half of the ingest
-// pipeline. Version 1 (snapshot.go) is a compact uvarint stream — cheap
-// to write, but every load must run a per-record decode and the format
-// cannot be mapped (nothing is aligned, nothing is fixed-width). Version
-// 2 trades ~25% file size for a fixed layout of 8-byte-aligned
+// pipeline. Version 2 replaced a compact uvarint stream (version 1, now
+// read as a version miss) with a fixed layout of 8-byte-aligned
 // little-endian sections, so a load is mmap + header/CRC validation +
 // slice-casting views over the file: no per-record decode, no payload
 // copy, node names sliced straight out of the mapping.
@@ -68,9 +66,10 @@ import (
 	"repro/internal/tech"
 )
 
-// SnapshotVersion2 is the fixed-layout, memory-mappable .simx version.
-// WriteSnapshot emits it by default; ReadSnapshot accepts both versions.
-const SnapshotVersion2 = 2
+// SnapshotVersion is the .simx format version — the only one
+// WriteSnapshot emits and ReadSnapshot and OpenMapped accept. (Version 1,
+// a uvarint stream, is retired: its files are version misses.)
+const SnapshotVersion = 2
 
 const (
 	v2HeaderSize  = 72
@@ -151,11 +150,14 @@ type v2File struct {
 // concurrently with it (the mmap loader) — see that method for why the
 // overlap is sound.
 func parseV2(data []byte) (*v2File, error) {
-	if len(data) < v2HeaderSize || string(data[:4]) != snapshotMagic {
+	if len(data) < 8 || string(data[:4]) != snapshotMagic {
 		return nil, fmt.Errorf("simx: bad magic")
 	}
-	if v := binary.LittleEndian.Uint32(data[4:8]); v != SnapshotVersion2 {
-		return nil, fmt.Errorf("simx: version %d, want %d", v, SnapshotVersion2)
+	if v := binary.LittleEndian.Uint32(data[4:8]); v != SnapshotVersion {
+		return nil, fmt.Errorf("simx: version %d, want %d", v, SnapshotVersion)
+	}
+	if len(data) < v2HeaderSize {
+		return nil, fmt.Errorf("simx: truncated header")
 	}
 	count := binary.LittleEndian.Uint32(data[12:16])
 	if count == 0 || count > v2MaxSections {
@@ -777,8 +779,12 @@ func buildV2(v *v2File, p *tech.Params, zeroCopy bool) (*Network, [32]byte, erro
 	return nw, v.sourceHash, nil
 }
 
-// WriteSnapshotV2 encodes nw to w in the fixed-layout v2 format.
-func WriteSnapshotV2(w io.Writer, nw *Network, sourceHash [32]byte) error {
+// WriteSnapshot encodes nw to w in the .simx format (the fixed layout
+// above, memory-mappable). sourceHash should be the SHA-256 of the .sim
+// text (or any caller-defined cache key) that nw was built from;
+// ReadSnapshot and OpenMapped hand it back so callers can validate
+// freshness.
+func WriteSnapshot(w io.Writer, nw *Network, sourceHash [32]byte) error {
 	n, t := len(nw.Nodes), len(nw.Trans)
 	type sec struct {
 		id  uint32
@@ -862,7 +868,7 @@ func WriteSnapshotV2(w io.Writer, nw *Network, sourceHash [32]byte) error {
 	}
 	out := make([]byte, total) // ends at the last section's padded edge
 	copy(out[:4], snapshotMagic)
-	binary.LittleEndian.PutUint32(out[4:8], SnapshotVersion2)
+	binary.LittleEndian.PutUint32(out[4:8], SnapshotVersion)
 	binary.LittleEndian.PutUint32(out[12:16], uint32(len(secs)))
 	binary.LittleEndian.PutUint64(out[16:24], uint64(total))
 	copy(out[24:56], sourceHash[:])
@@ -881,17 +887,4 @@ func WriteSnapshotV2(w io.Writer, nw *Network, sourceHash [32]byte) error {
 		return fmt.Errorf("simx: %w", err)
 	}
 	return nil
-}
-
-// readSnapshotV2 is the heap decoder for a complete v2 image.
-func readSnapshotV2(data []byte, p *tech.Params) (*Network, [32]byte, error) {
-	var zero [32]byte
-	v, err := parseV2(data)
-	if err != nil {
-		return nil, zero, err
-	}
-	if err := v.verifyPayload(); err != nil {
-		return nil, zero, err
-	}
-	return buildV2(v, p, false)
 }

@@ -1,49 +1,17 @@
 // Binary network snapshots (.simx): the warm-start half of the ingest
 // pipeline. Parsing a chip-scale .sim file costs tokenizing, symbol
 // interning and graph construction; a snapshot is the finished graph in
-// a flat, versioned, checksummed encoding that loads with little more
-// than one allocation per node and transistor. Snapshots are a cache,
-// never a source of truth: every snapshot records the SHA-256 of the
-// text it was built from plus the technology name, and loaders reject
-// (and callers re-parse) on any mismatch — wrong hash, wrong tech, wrong
-// version, corrupt payload.
-//
-// Two format versions coexist: this file implements the compact uvarint
-// version 1, simx2.go the fixed-layout memory-mappable version 2 that
-// WriteSnapshot now emits by default. ReadSnapshot accepts both.
-//
-// Version-1 layout (all integers little-endian or uvarint, floats as
-// IEEE-754 bit patterns):
-//
-//	magic    "SIMX"
-//	version  uint32 (currently 1)
-//	crc32    uint32 — IEEE CRC-32 of the payload that follows
-//	payload:
-//	  sourceHash [32]byte      SHA-256 of the originating .sim text
-//	  tech       uvarint-len string
-//	  name       uvarint-len string
-//	  nNodes     uvarint
-//	  nTrans     uvarint
-//	  node × nNodes:
-//	    name     uvarint-len string
-//	    kind     uvarint
-//	    flags    byte (bit 0: precharged)
-//	    cap      float64 bits
-//	  trans × nTrans:
-//	    type     uvarint
-//	    flow     uvarint
-//	    gate,a,b uvarint node indexes
-//	    w, l, r  float64 bits (r = ROverride)
-//
-// Adjacency (Node.Gates / Node.Terms) is not stored: rebuilding it by
-// replaying transistors in index order reproduces AddTrans's order
-// exactly and costs a fraction of the I/O saved.
+// a flat, versioned, checksummed encoding (simx2.go documents the layout)
+// that loads as a memory-mapped view or with little more than one
+// allocation per node and transistor. Snapshots are a cache, never a
+// source of truth: every snapshot records the SHA-256 of the text it was
+// built from plus the technology name, and loaders reject (and callers
+// re-parse) on any mismatch — wrong hash, wrong tech, wrong version,
+// corrupt payload.
 package netlist
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"math"
 	"os"
@@ -53,209 +21,29 @@ import (
 
 const snapshotMagic = "SIMX"
 
-// SnapshotVersion is the legacy compact .simx format version. Readers
-// accept it alongside SnapshotVersion2 and reject anything else.
-const SnapshotVersion = 1
-
-// maxSnapshotNodes bounds the node/transistor counts a reader will
+// maxSnapshotCount bounds the node/transistor counts a reader will
 // trust before allocating — a corrupt header must not ask for terabytes.
 const maxSnapshotCount = 1 << 28
 
-// WriteSnapshot encodes nw to w in the current .simx format (version 2,
-// memory-mappable). sourceHash should be the SHA-256 of the .sim text
-// (or any caller-defined cache key) that nw was built from; ReadSnapshot
-// hands it back so callers can validate freshness.
-func WriteSnapshot(w io.Writer, nw *Network, sourceHash [32]byte) error {
-	return WriteSnapshotV2(w, nw, sourceHash)
-}
-
-// WriteSnapshotV1 encodes nw in the legacy compact uvarint format —
-// kept for version-negotiation tests and for tools that must emit files
-// readable by older binaries.
-func WriteSnapshotV1(w io.Writer, nw *Network, sourceHash [32]byte) error {
-	payload := make([]byte, 0, 64+len(nw.Nodes)*24+len(nw.Trans)*40)
-	payload = append(payload, sourceHash[:]...)
-	payload = appendString(payload, nw.Tech.Name)
-	payload = appendString(payload, nw.Name)
-	payload = binary.AppendUvarint(payload, uint64(len(nw.Nodes)))
-	payload = binary.AppendUvarint(payload, uint64(len(nw.Trans)))
-	for _, n := range nw.Nodes {
-		payload = appendString(payload, n.Name)
-		payload = binary.AppendUvarint(payload, uint64(n.Kind))
-		var flags byte
-		if n.Precharged {
-			flags |= 1
-		}
-		payload = append(payload, flags)
-		payload = binary.LittleEndian.AppendUint64(payload, math.Float64bits(n.Cap))
-	}
-	for _, t := range nw.Trans {
-		payload = binary.AppendUvarint(payload, uint64(t.Type))
-		payload = binary.AppendUvarint(payload, uint64(t.Flow))
-		payload = binary.AppendUvarint(payload, uint64(t.Gate.Index))
-		payload = binary.AppendUvarint(payload, uint64(t.A.Index))
-		payload = binary.AppendUvarint(payload, uint64(t.B.Index))
-		payload = binary.LittleEndian.AppendUint64(payload, math.Float64bits(t.W))
-		payload = binary.LittleEndian.AppendUint64(payload, math.Float64bits(t.L))
-		payload = binary.LittleEndian.AppendUint64(payload, math.Float64bits(t.ROverride))
-	}
-	var hdr [12]byte
-	copy(hdr[:4], snapshotMagic)
-	binary.LittleEndian.PutUint32(hdr[4:8], SnapshotVersion)
-	binary.LittleEndian.PutUint32(hdr[8:12], crc32.ChecksumIEEE(payload))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return fmt.Errorf("simx: %w", err)
-	}
-	if _, err := w.Write(payload); err != nil {
-		return fmt.Errorf("simx: %w", err)
-	}
-	return nil
-}
-
-// ReadSnapshot decodes a .simx snapshot (either version) from r into a
-// fresh Network in technology p, returning the network and the source
-// hash recorded at write time. It fails on bad magic, unknown version,
-// checksum mismatch, truncated payload, or a technology name different
-// from p.Name — all of which mean "re-parse the source", not "the file
-// is usable anyway".
+// ReadSnapshot heap-decodes a .simx snapshot from r into a fresh Network
+// in technology p, returning the network and the source hash recorded at
+// write time. It fails on bad magic, any version but SnapshotVersion
+// (a file from an older writer is a version miss), checksum mismatch,
+// truncated payload, or a technology name different from p.Name — all
+// of which mean "re-parse the source", not "the file is usable anyway".
 func ReadSnapshot(r io.Reader, p *tech.Params) (*Network, [32]byte, error) {
-	var sourceHash [32]byte
 	data, err := readAllSized(r)
 	if err != nil {
-		return nil, sourceHash, fmt.Errorf("simx: %w", err)
+		return nil, [32]byte{}, fmt.Errorf("simx: %w", err)
 	}
-	if len(data) < 12 || string(data[:4]) != snapshotMagic {
-		return nil, sourceHash, fmt.Errorf("simx: bad magic")
+	v, err := parseV2(data)
+	if err != nil {
+		return nil, [32]byte{}, err
 	}
-	switch v := binary.LittleEndian.Uint32(data[4:8]); v {
-	case SnapshotVersion: // fall through to the v1 decoder below
-	case SnapshotVersion2:
-		return readSnapshotV2(data, p)
-	default:
-		return nil, sourceHash, fmt.Errorf("simx: version %d, want %d or %d", v, SnapshotVersion, SnapshotVersion2)
+	if err := v.verifyPayload(); err != nil {
+		return nil, [32]byte{}, err
 	}
-	payload := data[12:]
-	if sum := crc32.ChecksumIEEE(payload); sum != binary.LittleEndian.Uint32(data[8:12]) {
-		return nil, sourceHash, fmt.Errorf("simx: checksum mismatch")
-	}
-	// One string conversion of the whole payload up front: node names are
-	// returned as substrings of it, so the decode loop allocates nothing
-	// per name (the payload is about the size of the network it encodes,
-	// so pinning it behind the name strings costs little).
-	d := snapDecoder{buf: payload, str: string(payload)}
-	copy(sourceHash[:], d.bytes(32))
-	techName := d.string()
-	name := d.string()
-	nNodes := d.uvarint()
-	nTrans := d.uvarint()
-	if d.err != nil {
-		return nil, sourceHash, fmt.Errorf("simx: truncated header")
-	}
-	if techName != p.Name {
-		return nil, sourceHash, fmt.Errorf("simx: technology %q, want %q", techName, p.Name)
-	}
-	if nNodes > maxSnapshotCount || nTrans > maxSnapshotCount {
-		return nil, sourceHash, fmt.Errorf("simx: implausible counts %d/%d", nNodes, nTrans)
-	}
-	nw := &Network{
-		Name:   name,
-		Tech:   p,
-		Nodes:  make([]*Node, 0, nNodes),
-		Trans:  make([]*Trans, 0, nTrans),
-		byName: make(map[string]*Node, nNodes),
-	}
-	nodes := make([]Node, nNodes) // one allocation for all node structs
-	for i := range nodes {
-		n := &nodes[i]
-		n.Index = i
-		n.Name = d.string()
-		kind := d.uvarint()
-		if kind > uint64(KindOutput) {
-			return nil, sourceHash, fmt.Errorf("simx: node %d has kind %d", i, kind)
-		}
-		n.Kind = NodeKind(kind)
-		flags := d.byte()
-		n.Precharged = flags&1 != 0
-		n.Cap = d.float64()
-		if d.err != nil {
-			return nil, sourceHash, fmt.Errorf("simx: truncated node %d", i)
-		}
-		if _, dup := nw.byName[n.Name]; dup {
-			return nil, sourceHash, fmt.Errorf("simx: duplicate node name %q", n.Name)
-		}
-		nw.Nodes = append(nw.Nodes, n)
-		nw.byName[n.Name] = n
-		switch n.Kind {
-		case KindVdd:
-			nw.vdd = n
-		case KindGnd:
-			nw.gnd = n
-		}
-	}
-	if nw.vdd == nil || nw.gnd == nil {
-		return nil, sourceHash, fmt.Errorf("simx: missing supply rails")
-	}
-	trans := make([]Trans, nTrans) // one allocation for all transistors
-	gateCnt := make([]int32, nNodes)
-	termCnt := make([]int32, nNodes)
-	for j := range trans {
-		t := &trans[j]
-		t.Index = j
-		typ, fl := d.uvarint(), d.uvarint()
-		if typ > uint64(tech.RWire) || fl > uint64(FlowOff) {
-			return nil, sourceHash, fmt.Errorf("simx: transistor %d has type %d flow %d", j, typ, fl)
-		}
-		t.Type = tech.Device(typ)
-		t.Flow = Flow(fl)
-		gi, ai, bi := d.uvarint(), d.uvarint(), d.uvarint()
-		t.W = d.float64()
-		t.L = d.float64()
-		t.ROverride = d.float64()
-		if d.err != nil {
-			return nil, sourceHash, fmt.Errorf("simx: truncated transistor %d", j)
-		}
-		if gi >= nNodes || ai >= nNodes || bi >= nNodes {
-			return nil, sourceHash, fmt.Errorf("simx: transistor %d references node out of range", j)
-		}
-		t.Gate, t.A, t.B = nw.Nodes[gi], nw.Nodes[ai], nw.Nodes[bi]
-		nw.Trans = append(nw.Trans, t)
-		gateCnt[gi]++
-		termCnt[ai]++
-		if bi != ai {
-			termCnt[bi]++
-		}
-	}
-	if d.rest() != 0 {
-		return nil, sourceHash, fmt.Errorf("simx: %d trailing bytes", d.rest())
-	}
-	// Rebuild adjacency exactly as AddTrans would have, in index order —
-	// but with the exact per-node capacities known from the pass above,
-	// every fan-in/fan-out list is a slice of two shared backing arrays:
-	// two allocations total instead of one growth chain per node.
-	var totalG, totalT int
-	for i := range gateCnt {
-		totalG += int(gateCnt[i])
-		totalT += int(termCnt[i])
-	}
-	adjBack := make([]*Trans, totalG+totalT)
-	gatesBack, termsBack := adjBack[:totalG], adjBack[totalG:]
-	offG, offT := 0, 0
-	for i := range nodes {
-		g, t := int(gateCnt[i]), int(termCnt[i])
-		nodes[i].Gates = gatesBack[offG : offG : offG+g]
-		nodes[i].Terms = termsBack[offT : offT : offT+t]
-		offG += g
-		offT += t
-	}
-	for j := range trans {
-		t := &trans[j]
-		t.Gate.Gates = append(t.Gate.Gates, t)
-		t.A.Terms = append(t.A.Terms, t)
-		if t.B != t.A {
-			t.B.Terms = append(t.B.Terms, t)
-		}
-	}
-	return nw, sourceHash, nil
+	return buildV2(v, p, false)
 }
 
 // readAllSized reads r to EOF like io.ReadAll, but pre-sizes the buffer
@@ -293,88 +81,4 @@ func readAllSized(r io.Reader) ([]byte, error) {
 		return nil, err
 	}
 	return append(data, rest...), nil
-}
-
-func appendString(b []byte, s string) []byte {
-	b = binary.AppendUvarint(b, uint64(len(s)))
-	return append(b, s...)
-}
-
-// snapDecoder is a cursor over the snapshot payload; on underflow it
-// sets err and returns zero values, so decode loops check once per
-// record instead of per field. The cursor is a plain integer offset —
-// the buf and str views are never re-sliced, so the hot decode loop
-// performs no pointer writes (and therefore no GC write barriers). str,
-// when set, is the payload as a string; string() slices it instead of
-// allocating.
-type snapDecoder struct {
-	buf []byte
-	str string
-	pos int
-	err error
-}
-
-func (d *snapDecoder) fail() {
-	if d.err == nil {
-		d.err = fmt.Errorf("short payload")
-	}
-}
-
-// rest reports the unconsumed byte count.
-func (d *snapDecoder) rest() int { return len(d.buf) - d.pos }
-
-func (d *snapDecoder) bytes(n int) []byte {
-	if d.rest() < n {
-		d.fail()
-		return make([]byte, n)
-	}
-	b := d.buf[d.pos : d.pos+n]
-	d.pos += n
-	return b
-}
-
-func (d *snapDecoder) byte() byte {
-	if d.rest() < 1 {
-		d.fail()
-		return 0
-	}
-	b := d.buf[d.pos]
-	d.pos++
-	return b
-}
-
-func (d *snapDecoder) uvarint() uint64 {
-	v, n := binary.Uvarint(d.buf[d.pos:])
-	if n <= 0 {
-		d.fail()
-		return 0
-	}
-	d.pos += n
-	return v
-}
-
-func (d *snapDecoder) float64() float64 {
-	if d.rest() < 8 {
-		d.fail()
-		return 0
-	}
-	v := math.Float64frombits(binary.LittleEndian.Uint64(d.buf[d.pos:]))
-	d.pos += 8
-	return v
-}
-
-func (d *snapDecoder) string() string {
-	n := d.uvarint()
-	if d.err != nil || uint64(d.rest()) < n {
-		d.fail()
-		return ""
-	}
-	var s string
-	if len(d.str) == len(d.buf) {
-		s = d.str[d.pos : d.pos+int(n)]
-	} else {
-		s = string(d.buf[d.pos : d.pos+int(n)])
-	}
-	d.pos += int(n)
-	return s
 }

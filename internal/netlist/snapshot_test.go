@@ -53,7 +53,7 @@ func TestSnapshotRoundTripProperty(t *testing.T) {
 // (exercises rails, aliases resolved away, directives, wire resistors).
 func TestSnapshotParsedRoundTrip(t *testing.T) {
 	p := tech.NMOS4()
-	nw, err := ReadSim("sample", p, strings.NewReader(sampleSim))
+	nw, err := ReadSimParallel("sample", p, strings.NewReader(sampleSim), 1)
 	if err != nil {
 		t.Fatal(err)
 	}

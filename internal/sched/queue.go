@@ -1,15 +1,13 @@
-// Package sched provides the deterministic event-scheduling machinery the
-// timing analyzer's drain loop runs on: a priority queue with a strict
-// total order on (time, node, transition), a frontier batcher that carves
-// off runs of events safe to evaluate together, and a worker pool whose
-// goroutines carry pprof labels.
+// Package sched provides the deterministic event queue the timing
+// analyzer's drain loop runs on: a priority queue with a strict total
+// order on (time, node, transition).
 //
 // Determinism is the package's contract. The queue's order is total — two
 // distinct items never compare equal — so the pop sequence is a pure
 // function of the push multiset, independent of push interleaving or of
-// the heap's internal arrangement. The analyzer relies on this to keep
-// parallel drains bit-identical to serial ones: whatever the batching, the
-// commit order is the queue order.
+// the heap's internal arrangement. The analyzer relies on this to make
+// feedback-guard cutoffs and equal-time tie-breaks reproducible between a
+// full run and an incremental one.
 package sched
 
 // Item is one pending propagation: the (node, transition) pair becomes
@@ -38,8 +36,8 @@ func Less(a, b Item) bool {
 }
 
 // Queue is a priority queue of Items under Less. The zero value is an
-// empty queue ready for use. Not safe for concurrent use — the analyzer
-// owns it from the serial commit side of the drain.
+// empty queue ready for use. Not safe for concurrent use — one analyzer
+// owns it.
 //
 // Internally a 4-ary implicit heap on a value slice: items are moved, not
 // boxed, and the four children of a node share a cache line (an Item is 16

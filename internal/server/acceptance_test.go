@@ -66,7 +66,7 @@ func TestAcceptanceChipSession(t *testing.T) {
 	// Offline: the same session replayed directly against the core API,
 	// the way `crystal -edits` drives it.
 	tb := delay.AnalyticTables(p)
-	offNw, err := netlist.ReadSim("chip32", p, strings.NewReader(sim.String()))
+	offNw, err := netlist.ReadSimParallel("chip32", p, strings.NewReader(sim.String()), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

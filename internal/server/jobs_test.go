@@ -227,10 +227,13 @@ func TestJobPerSessionSerialization(t *testing.T) {
 		editsRequest{Script: fmt.Sprintf("del %d\nrun\n", trans-1), Async: true})
 
 	// While j1 has not finished, j2 must never be dispatched — the free
-	// workers may not bypass the per-session queue.
+	// workers may not bypass the per-session queue. Poll j2 first: if it
+	// was dispatched at that moment, j1 had finished by then and is
+	// still finished when polled after (polling j1 first would let j1
+	// finish and j2 start between the two reads, a false alarm).
 	for {
-		a := c.pollJobState(j1.Job)
 		b := c.pollJobState(j2.Job)
+		a := c.pollJobState(j1.Job)
 		if b == jobRunning || b == jobDone || b == jobFailed {
 			if a != jobDone && a != jobFailed {
 				t.Fatalf("job2 %s while job1 still %s", b, a)
@@ -451,10 +454,6 @@ func TestMetricsScrapeUnderLoad(t *testing.T) {
 				m := c.metrics()
 				if m.Jobs.Queued < 0 || m.Jobs.Running < 0 || m.Jobs.Running > 2 {
 					t.Errorf("torn job gauges: %+v", m.Jobs)
-					return
-				}
-				if m.Drain.SpecUsed > m.Drain.SpecLive {
-					t.Errorf("spec_used %d > spec_live %d", m.Drain.SpecUsed, m.Drain.SpecLive)
 					return
 				}
 				_ = sv.MetricsSnapshot()

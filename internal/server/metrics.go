@@ -6,10 +6,8 @@
 //
 // Concurrency contract, audited for torn reads under concurrent scrape +
 // update (TestMetricsScrapeUnderLoad runs the audit under -race): every
-// counter in the metrics struct is an atomic.Int64 (including max-tracking
-// ones like drainCommitDepth, which uses a CAS loop, and drainRegions,
-// which is a Store — both single 8-byte words, never read-modify-write
-// without atomicity); the latency rings are mutex-guarded because an
+// counter in the metrics struct is an atomic.Int64 (a single 8-byte
+// word, never read-modify-write without atomicity); the latency rings are mutex-guarded because an
 // observation writes three fields; and gauges owned by other subsystems
 // (session-cache size, arena refcounts, job-queue depth) are read under
 // their owners' locks at snapshot time and passed in by value. A snapshot
@@ -23,8 +21,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"repro/internal/core"
 )
 
 // latencyRing bounds each recorder: percentiles are computed over the most
@@ -115,37 +111,6 @@ type metrics struct {
 	editLatency     latencyRecorder // one edit barrier (Reanalyze + report)
 	simulateLatency latencyRecorder // one simulate batch (compile + settle)
 	jobQueueLatency latencyRecorder // async job queue wait (submit → dispatch)
-
-	// Speculative-drain counters, aggregated across every parallel drain
-	// any session ran (serial drains contribute zeros). See
-	// core.DrainStats for semantics.
-	drainBatches     atomic.Int64
-	drainBatchItems  atomic.Int64
-	drainFenceStalls atomic.Int64
-	drainPreempts    atomic.Int64
-	drainSpecLive    atomic.Int64
-	drainSpecUsed    atomic.Int64
-	drainCommitDepth atomic.Int64 // max observed across drains
-	drainRegions     atomic.Int64 // last compiled fence-partition size
-}
-
-// observeDrain folds one drain's counter delta into the aggregate.
-func (m *metrics) observeDrain(d core.DrainStats) {
-	m.drainBatches.Add(d.Batches)
-	m.drainBatchItems.Add(d.BatchItems)
-	m.drainFenceStalls.Add(d.FenceStalls)
-	m.drainPreempts.Add(d.Preempts)
-	m.drainSpecLive.Add(d.SpecLive)
-	m.drainSpecUsed.Add(d.SpecUsed)
-	for {
-		cur := m.drainCommitDepth.Load()
-		if d.CommitDepth <= cur || m.drainCommitDepth.CompareAndSwap(cur, d.CommitDepth) {
-			break
-		}
-	}
-	if d.Regions > 0 {
-		m.drainRegions.Store(int64(d.Regions))
-	}
 }
 
 // MetricsSnapshot is the externally visible metrics document.
@@ -204,18 +169,7 @@ type MetricsSnapshot struct {
 	// NetArena is the shared-view gauge set: current mapping/reference
 	// state plus the lifetime copy-on-edit detach count. All zero when
 	// the arena is disabled.
-	NetArena ArenaStats `json:"netarena"`
-	Drain    struct {
-		Batches     int64   `json:"batches"`
-		BatchSize   float64 `json:"batch_size"` // mean frontier batch size
-		FenceStalls int64   `json:"fence_stalls"`
-		Preempts    int64   `json:"preempts"`
-		SpecLive    int64   `json:"spec_live"`
-		SpecUsed    int64   `json:"spec_used"`
-		Occupancy   float64 `json:"occupancy"`    // SpecUsed / SpecLive
-		CommitDepth int64   `json:"commit_depth"` // max commit-queue depth observed
-		Regions     int64   `json:"regions"`
-	} `json:"drain"`
+	NetArena  ArenaStats `json:"netarena"`
 	LatencyNs struct {
 		Analyze     LatencyStats `json:"analyze"`
 		EditBarrier LatencyStats `json:"edit_barrier"`
@@ -270,19 +224,6 @@ func (m *metrics) snapshot(live int, arena ArenaStats, jobs jobGauges) MetricsSn
 	s.Sim.Sweeps = m.simSweeps.Load()
 	s.Sim.Oscillations = m.simOscillations.Load()
 	s.Sim.Compiles = m.simCompiles.Load()
-	s.Drain.Batches = m.drainBatches.Load()
-	if items := m.drainBatchItems.Load(); s.Drain.Batches > 0 {
-		s.Drain.BatchSize = float64(items) / float64(s.Drain.Batches)
-	}
-	s.Drain.FenceStalls = m.drainFenceStalls.Load()
-	s.Drain.Preempts = m.drainPreempts.Load()
-	s.Drain.SpecLive = m.drainSpecLive.Load()
-	s.Drain.SpecUsed = m.drainSpecUsed.Load()
-	if s.Drain.SpecLive > 0 {
-		s.Drain.Occupancy = float64(s.Drain.SpecUsed) / float64(s.Drain.SpecLive)
-	}
-	s.Drain.CommitDepth = m.drainCommitDepth.Load()
-	s.Drain.Regions = m.drainRegions.Load()
 	s.LatencyNs.Analyze = m.analyzeLatency.stats()
 	s.LatencyNs.EditBarrier = m.editLatency.stats()
 	s.LatencyNs.Simulate = m.simulateLatency.stats()

@@ -43,14 +43,13 @@ type Options struct {
 	// the dominant memory unit — network + stage DB + arrivals — so this
 	// is the daemon's memory knob; see docs/SERVER.md for sizing.
 	MaxSessions int
-	// DefaultWorkers is the drain parallelism when a request does not set
-	// one (0 selects GOMAXPROCS); session loads use the same setting for
-	// the parallel .sim tokenizer.
+	// DefaultWorkers is the per-analysis worker count when a request does
+	// not set one (0 selects GOMAXPROCS). It sizes only work that is
+	// independent by construction: the concurrent stage-database prewarm
+	// before a full drain, and the parallel .sim tokenizer of session
+	// loads. The drain itself is serial; concurrency comes from sessions
+	// and jobs running side by side.
 	DefaultWorkers int
-	// NoReorder disables the compiled network's RCM locality layout in
-	// every session analyzer (core.Options.NoReorder). Results are
-	// bit-identical either way; cmd/crystald exposes this as -reorder.
-	NoReorder bool
 	// Hier enables hierarchical macromodel analysis in every session
 	// analyzer (core.Options.Hier): replicated instances analyze one
 	// representative and stamp the timing onto the other copies. Results
@@ -302,7 +301,7 @@ func (sv *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	if sv.lookup(id) != nil { // hash prefix taken by a diverged session
 		id = fmt.Sprintf("%s.%d", hash[:12], seq)
 	}
-	s, err := newSession(id, cfg, sv.opts.SnapshotDir, sv.opts.DefaultWorkers, sv.opts.NoReorder, sv.opts.Hier, sv.arena)
+	s, err := newSession(id, cfg, sv.opts.SnapshotDir, sv.opts.DefaultWorkers, sv.opts.Hier, sv.arena)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, "%v", err)
 		return
@@ -405,8 +404,9 @@ func (sv *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 
 // analyzeRequest is the POST .../analyze body (all fields optional).
 type analyzeRequest struct {
-	// Workers sets the drain parallelism (0 = server default; results are
-	// bit-identical at every setting).
+	// Workers sets the stage-database prewarm fan-out of the run (0 =
+	// server default, negative is rejected; results are bit-identical at
+	// every setting).
 	Workers int `json:"workers,omitempty"`
 	// Force reruns the full drain even when the snapshot is current.
 	Force bool `json:"force,omitempty"`
@@ -436,6 +436,10 @@ func (sv *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}
+	if req.Workers < 0 {
+		writeErr(w, http.StatusBadRequest, "workers %d: must be >= 0", req.Workers)
+		return
+	}
 	if req.Async {
 		sv.submitJob(w, s, "analyze", func() (int, any) { return sv.analyzeSession(s, req) })
 		return
@@ -458,8 +462,8 @@ func (sv *Server) analyzeSession(s *session, req analyzeRequest) (int, any) {
 	defer s.mu.Unlock()
 	// Snapshot still current for this worker count: serve it. Worker
 	// count changes rebuild — results are bit-identical either way, the
-	// rebuild is purely so the requested parallelism really is in effect
-	// for subsequent edit drains.
+	// rebuild is purely so the requested prewarm fan-out really is in
+	// effect for this run and for full-fallback edits after it.
 	if snap := s.snap.Load(); snap != nil && !req.Force && s.workers == workers {
 		sv.m.analyzesCached.Add(1)
 		return http.StatusOK, analyzeResponse{Snapshot: snap, Cached: true, Workers: workers}
@@ -484,7 +488,6 @@ func (sv *Server) analyzeSession(s *session, req analyzeRequest) (int, any) {
 	}
 	sv.m.analyzesFull.Add(1)
 	sv.m.analyzeLatency.observe(dur)
-	sv.m.observeDrain(a.DrainStats()) // fresh analyzer: stats are this run's
 	return http.StatusOK, analyzeResponse{
 		Snapshot: snap, Workers: workers, DurationNs: dur.Nanoseconds(),
 	}
@@ -494,8 +497,9 @@ func (sv *Server) analyzeSession(s *session, req analyzeRequest) (int, any) {
 // grammar as `crystal -edits` (see internal/incremental).
 type editsRequest struct {
 	Script string `json:"script"`
-	// Workers optionally retunes the drain parallelism for the replay
-	// (0 keeps the session's current setting).
+	// Workers optionally retunes the session's prewarm fan-out for the
+	// replay (0 keeps the session's current setting, negative is
+	// rejected).
 	Workers int `json:"workers,omitempty"`
 	// Async runs the script on the job plane: 202 + job id immediately,
 	// poll GET /v1/jobs/{id} for the barrier results. Long edit scripts
@@ -540,6 +544,10 @@ func (sv *Server) handleEdits(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "missing script")
 		return
 	}
+	if req.Workers < 0 {
+		writeErr(w, http.StatusBadRequest, "workers %d: must be >= 0", req.Workers)
+		return
+	}
 	if req.Async {
 		sv.submitJob(w, s, "edits", func() (int, any) { return sv.editsSession(s, req) })
 		return
@@ -566,23 +574,11 @@ func (sv *Server) editsSession(s *session, req editsRequest) (int, any) {
 	err := incremental.ReplayScript(strings.NewReader(req.Script), "script",
 		func(line int, batch []incremental.Edit) error {
 			start := time.Now()
-			before := s.a.DrainStats()
 			stats, err := s.a.Reanalyze(batch)
 			if err != nil {
 				return err
 			}
 			dur := time.Since(start)
-			after := s.a.DrainStats()
-			sv.m.observeDrain(core.DrainStats{
-				Batches:     after.Batches - before.Batches,
-				BatchItems:  after.BatchItems - before.BatchItems,
-				FenceStalls: after.FenceStalls - before.FenceStalls,
-				Preempts:    after.Preempts - before.Preempts,
-				SpecLive:    after.SpecLive - before.SpecLive,
-				SpecUsed:    after.SpecUsed - before.SpecUsed,
-				CommitDepth: after.CommitDepth,
-				Regions:     after.Regions,
-			})
 			s.edited = true
 			s.barriers++
 			sv.m.editBatches.Add(1)

@@ -297,7 +297,7 @@ func TestAnalyzeSnapshotCache(t *testing.T) {
 	}
 }
 
-// TestWorkersIdentityOverHTTP pins the parallel-drain contract at the
+// TestWorkersIdentityOverHTTP pins the worker-count contract at the
 // service surface: an entire session — analyze plus an edit replay — is
 // byte-identical between workers=1 and workers=8, structured paths
 // included.
@@ -328,90 +328,35 @@ func TestWorkersIdentityOverHTTP(t *testing.T) {
 	}
 }
 
-// TestReorderIdentityOverHTTP pins the reordering contract at the
-// service surface: a whole session transcript — analyze plus edit
-// barriers, structured paths included — is byte-identical whether the
-// daemon compiles networks with the RCM locality layout or the identity
-// layout, serial and parallel.
-func TestReorderIdentityOverHTTP(t *testing.T) {
-	script := "cap out 2e-14\nrun\nresize 2 6e-6 2e-6\nrun\n"
-	run := func(noReorder bool, workers int) string {
-		c := newTestClient(t, Options{NoReorder: noReorder})
-		id := c.create(dlatchConfig(t)).Session
-		an := c.analyze(id, workers)
-		ed := c.edits(id, script)
-		var out strings.Builder
-		out.WriteString(an.Report)
-		for _, b := range ed.Barriers {
-			out.WriteString(b.Status + "\n" + b.Report)
-		}
-		paths, err := json.Marshal(ed.Snapshot.Paths)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out.Write(paths)
-		return out.String()
-	}
-	for _, workers := range []int{1, 8} {
-		if on, off := run(false, workers), run(true, workers); on != off {
-			t.Errorf("workers=%d: transcript differs between reorder on and off:\n--- on ---\n%s\n--- off ---\n%s",
-				workers, on, off)
-		}
-	}
-}
-
-// TestDrainMetricsExposed is the drain-counter sanity check: after a
-// parallel analyze, /metrics must expose the speculative-drain counters
-// (drain.batch_size, drain.fence_stalls, drain.commit_depth among them)
-// with a consistent, non-degenerate story — batches happened, the fence
-// partition is non-trivial, and occupancy is a valid ratio.
-func TestDrainMetricsExposed(t *testing.T) {
+// TestWorkersInputBounded: the request workers field is client input. A
+// negative count is rejected with 400 by both the analyze and the edits
+// handler; an absurd positive count is accepted, and answers exactly as
+// workers=1 does — the prewarm fan-out it sizes is capped at GOMAXPROCS
+// (stage.DB.PrewarmMasked), so it cannot start a goroutine per unit.
+func TestWorkersInputBounded(t *testing.T) {
 	c := newTestClient(t, Options{})
 	id := c.create(dlatchConfig(t)).Session
-	c.analyze(id, 8)
-
-	// The wire format is part of the contract: fleet dashboards key on
-	// these literal field names.
-	req, err := http.NewRequest("GET", c.srv.URL+"/metrics", nil)
-	if err != nil {
-		t.Fatal(err)
+	base := "/v1/sessions/" + id
+	if st, raw := c.doRaw("POST", base+"/analyze", map[string]any{"workers": -1}); st != http.StatusBadRequest {
+		t.Fatalf("analyze workers=-1: status %d (%s), want 400", st, raw)
 	}
-	resp, err := c.srv.Client().Do(req)
-	if err != nil {
-		t.Fatal(err)
+	if st, raw := c.doRaw("POST", base+"/edits", map[string]any{"script": "run\n", "workers": -1}); st != http.StatusBadRequest {
+		t.Fatalf("edits workers=-1: status %d (%s), want 400", st, raw)
 	}
-	raw, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
+	ref := c.analyze(id, 1)
+	huge := c.analyze(id, 1_000_000)
+	if huge.Cached || huge.Report != ref.Report {
+		t.Fatalf("workers=1000000: cached=%v, report differs:\n--- w1 ---\n%s\n--- huge ---\n%s",
+			huge.Cached, ref.Report, huge.Report)
 	}
-	for _, field := range []string{
-		`"drain"`, `"batch_size"`, `"fence_stalls"`, `"commit_depth"`,
-		`"preempts"`, `"spec_live"`, `"spec_used"`, `"occupancy"`, `"regions"`,
-	} {
-		if !bytes.Contains(raw, []byte(field)) {
-			t.Errorf("/metrics missing %s:\n%s", field, raw)
-		}
+	// A retype forces a full re-analysis, which prewarms the new
+	// generation at the session's (retuned) worker count.
+	var ed editsResponse
+	if st := c.do("POST", base+"/edits", editsRequest{Script: "retype qq output\nrun\n", Workers: 1_000_000}, &ed); st != http.StatusOK {
+		t.Fatalf("edits workers=1000000: status %d", st)
 	}
-
-	m := c.metrics()
-	if m.Drain.Batches <= 0 {
-		t.Errorf("drain.batches = %d after a parallel analyze", m.Drain.Batches)
-	}
-	if m.Drain.BatchSize <= 0 {
-		t.Errorf("drain.batch_size = %g, want > 0", m.Drain.BatchSize)
-	}
-	if m.Drain.Regions <= 0 {
-		t.Errorf("drain.regions = %d, want > 0", m.Drain.Regions)
-	}
-	if m.Drain.SpecLive < m.Drain.SpecUsed {
-		t.Errorf("drain.spec_used %d exceeds spec_live %d", m.Drain.SpecUsed, m.Drain.SpecLive)
-	}
-	if m.Drain.Occupancy < 0 || m.Drain.Occupancy > 1 {
-		t.Errorf("drain.occupancy = %g, want in [0,1]", m.Drain.Occupancy)
-	}
-	if m.Drain.FenceStalls < 0 || m.Drain.CommitDepth < 0 {
-		t.Errorf("negative drain counters: %+v", m.Drain)
+	if len(ed.Barriers) != 1 || ed.Barriers[0].Incremental {
+		t.Fatalf("edits: barriers %+v, want one full re-analysis", ed.Barriers)
 	}
 }
 

@@ -205,7 +205,6 @@ type session struct {
 	nw        *netlist.Network
 	a         *core.Analyzer // nil until the first analyze
 	workers   int            // worker count of the current analyzer
-	noReorder bool           // server-wide Options.NoReorder, applied per analyzer
 	hier      bool           // server-wide Options.Hier, applied per analyzer
 	edited    bool           // diverged from the loaded source (edits applied)
 	barriers  int            // run barriers applied over the session lifetime
@@ -248,8 +247,8 @@ func (s *session) batchEngine() (b *switchsim.Batch, compiled bool) {
 // falls back to a parse. A snapshot is only ever written after the
 // parsed network passed Check, so a snapshot hit skips both the parse
 // and the structural check.
-func newSession(id string, cfg SessionConfig, snapDir string, workers int, noReorder, hier bool, arena *netArena) (*session, error) {
-	s := &session{id: id, hash: cfg.hash(), cfg: cfg, source: "parse", noReorder: noReorder, hier: hier}
+func newSession(id string, cfg SessionConfig, snapDir string, workers int, hier bool, arena *netArena) (*session, error) {
+	s := &session{id: id, hash: cfg.hash(), cfg: cfg, source: "parse", hier: hier}
 	// The retained config drops the .sim source text: it is only needed
 	// below (identity hash + cold parse), and for a chip-scale netlist
 	// the text is tens of megabytes — cached per session, it would
@@ -345,7 +344,7 @@ func loadSessionSnapshot(path, name string, p *tech.Params, simHash [32]byte) (*
 // stage database from a previous analyzer over the same generation.
 // Callers hold s.mu.
 func (s *session) buildAnalyzer(workers int, db *core.Analyzer) (*core.Analyzer, error) {
-	opts := core.Options{Workers: workers, NoReorder: s.noReorder, Hier: s.hier}
+	opts := core.Options{Workers: workers, Hier: s.hier}
 	if db != nil {
 		opts.DB = db.StageDB()
 	}

@@ -93,7 +93,7 @@ func TestSimulateMatchesScalar(t *testing.T) {
 	vectors := []string{"11", "10", "01", "X1", "1X", "00", "0X", "XX"}
 	resp := c.simulate(id, simulateRequest{Vectors: vectors})
 
-	nw, err := netlist.ReadSim("dlatch", tech.NMOS4(), strings.NewReader(dlatchSim(t)))
+	nw, err := netlist.ReadSimParallel("dlatch", tech.NMOS4(), strings.NewReader(dlatchSim(t)), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,6 +9,8 @@
 package server
 
 import (
+	"encoding/binary"
+	"hash/crc32"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -150,6 +152,44 @@ func TestSnapshotCorruptFallsBack(t *testing.T) {
 		t.Fatalf("corrupt snapshot served: source = %q", resp.Source)
 	}
 	// And the rewrite healed the cache.
+	c3 := newTestClient(t, Options{SnapshotDir: dir})
+	if resp := c3.create(cfg); resp.Source != warmSource() {
+		t.Fatalf("healed cache source = %q, want %q", resp.Source, warmSource())
+	}
+}
+
+// TestSnapshotV1IsMiss: a cache file left by an older writer — a .simx
+// whose 12-byte header carries version 1 — is a miss for -snapshot-dir
+// loads, on the shared mmap path and the heap decoder alike. The create
+// parses, rewrites the file in the current version, and the next daemon
+// is served from the healed cache.
+func TestSnapshotV1IsMiss(t *testing.T) {
+	dir := t.TempDir()
+	cfg := dlatchConfig(t)
+	c := newTestClient(t, Options{SnapshotDir: dir})
+	c.create(cfg)
+	files := snapshotFiles(t, dir)
+	if len(files) != 1 {
+		t.Fatalf("snapshot files: %v", files)
+	}
+	v1 := make([]byte, 64)
+	copy(v1, "SIMX")
+	binary.LittleEndian.PutUint32(v1[4:8], 1)
+	binary.LittleEndian.PutUint32(v1[8:12], crc32.ChecksumIEEE(v1[12:]))
+	if err := os.WriteFile(files[0], v1, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	c2 := newTestClient(t, Options{SnapshotDir: dir})
+	if resp := c2.create(cfg); resp.Source != "parse" {
+		t.Fatalf("v1 snapshot served: source = %q, want parse", resp.Source)
+	}
+	raw, err := os.ReadFile(files[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := binary.LittleEndian.Uint32(raw[4:8]); v != netlist.SnapshotVersion {
+		t.Fatalf("rewritten snapshot has version %d, want %d", v, netlist.SnapshotVersion)
+	}
 	c3 := newTestClient(t, Options{SnapshotDir: dir})
 	if resp := c3.create(cfg); resp.Source != warmSource() {
 		t.Fatalf("healed cache source = %q, want %q", resp.Source, warmSource())

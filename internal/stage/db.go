@@ -399,13 +399,25 @@ func channelGroup(nw *netlist.Network, t *netlist.Trans, oracle Oracle) []*netli
 }
 
 // Prewarm eagerly builds every entry an analysis can touch, fanning the
-// enumeration out over the given number of workers (0 selects GOMAXPROCS).
+// enumeration out over the given number of workers (0 selects GOMAXPROCS;
+// the builds are CPU-bound, so larger counts are capped at GOMAXPROCS).
 // The closure matches the analyzer's access pattern: through-stages and
 // channel groups for every gated device, release stages for every group
 // member, and fan-out stages for every input with channel terminals.
 // Prewarming is optional — entries not built here are still built lazily.
 func (db *DB) Prewarm(workers int) {
 	db.PrewarmMasked(workers, nil, nil)
+}
+
+// prewarmFanout resolves Prewarm's worker count for units transistors:
+// GOMAXPROCS for a non-positive request, never more than GOMAXPROCS (the
+// request may be client input), never more than there are units, and at
+// least one.
+func prewarmFanout(workers, units int) int {
+	if procs := runtime.GOMAXPROCS(0); workers <= 0 || workers > procs {
+		workers = procs
+	}
+	return max(1, min(workers, units))
 }
 
 // PrewarmMasked is Prewarm with a skip mask: transistors with
@@ -416,15 +428,7 @@ func (db *DB) Prewarm(workers int) {
 // enumeration cost and memory. Skipped entries still build lazily if an
 // instance later detaches to flat analysis.
 func (db *DB) PrewarmMasked(workers int, skipTrans, skipNode []bool) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(db.nw.Trans) {
-		workers = len(db.nw.Trans)
-	}
-	if workers < 1 {
-		workers = 1
-	}
+	workers = prewarmFanout(workers, len(db.nw.Trans))
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {

@@ -2,9 +2,11 @@ package stage
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 
+	"repro/internal/gen"
 	"repro/internal/netlist"
 	"repro/internal/tech"
 )
@@ -192,5 +194,54 @@ func TestDBPrewarm(t *testing.T) {
 	want := ToNode(nw, out, tech.Fall, Options{})
 	if !sameStages(warm, want.Stages) {
 		t.Error("prewarmed Release disagrees with direct enumeration")
+	}
+}
+
+// TestDBPrewarmFanoutBounded: the worker count is client input (crystald
+// passes a request's workers field through), so Prewarm(1<<20) must build
+// on at most GOMAXPROCS goroutines — and the database it builds must be
+// the one Prewarm(1) builds, entry for entry.
+func TestDBPrewarmFanoutBounded(t *testing.T) {
+	procs := runtime.GOMAXPROCS(0)
+	for _, tc := range []struct{ workers, units, want int }{
+		{1 << 20, 1 << 30, procs},
+		{0, 1 << 30, procs},
+		{-3, 1 << 30, procs},
+		{1, 1 << 30, 1},
+		{1 << 20, 1, 1},
+		{1 << 20, 0, 1},
+	} {
+		if got := prewarmFanout(tc.workers, tc.units); got != tc.want {
+			t.Errorf("prewarmFanout(%d, %d) = %d, want %d", tc.workers, tc.units, got, tc.want)
+		}
+	}
+
+	nw, err := gen.ALU(tech.NMOS4(), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	serial, wide := NewDB(nw, Options{}), NewDB(nw, Options{})
+	serial.Prewarm(1)
+	wide.Prewarm(1 << 20)
+	for i, tx := range nw.Trans {
+		if tx.AlwaysOn() {
+			continue
+		}
+		a, _ := serial.TurnOnIdx(i)
+		b, _ := wide.TurnOnIdx(i)
+		c, _ := serial.TurnOffIdx(i)
+		d, _ := wide.TurnOffIdx(i)
+		if !sameStages(a, b) || !sameStages(c, d) {
+			t.Fatalf("transistor %d: consequence lists differ between Prewarm(1) and Prewarm(1<<20)", i)
+		}
+	}
+	for _, n := range nw.Inputs() {
+		for _, tr := range []tech.Transition{tech.Rise, tech.Fall} {
+			a, _ := serial.From(n, tr)
+			b, _ := wide.From(n, tr)
+			if !sameStages(a, b) {
+				t.Fatalf("input %s/%v: fan-out stages differ", n.Name, tr)
+			}
+		}
 	}
 }

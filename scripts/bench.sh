@@ -5,14 +5,15 @@
 # in one file. Then runs the incremental re-analysis benchmark and writes
 # BENCH_2.json with the incremental-vs-full speedup, the worker-scaling
 # sweep into BENCH_3.json, the ingest (parse/snapshot) throughput record
-# into BENCH_4.json, and the locality/fence record (interleaved reorder
-# A/B, re-recorded drain scaling medians, fence counters) into
-# BENCH_5.json, the batch-sim throughput record into BENCH_6.json, the
+# into BENCH_4.json, the batch-sim throughput record into BENCH_6.json, the
 # chip-scale mmap ingest + shared-view RSS record into BENCH_7.json, and
 # the crystald service saturation curves (cmd/loadgen concurrency ramp
 # with response validation) into BENCH_8.json, and the hierarchical-
 # macromodel record (interleaved hier A/B on E6-XL plus the chip:64,40
-# scale point) into BENCH_9.json. Every file is stamped
+# scale point) into BENCH_9.json. BENCH_5.json (the reorder A/B and the
+# speculative drain's fence counters) is history: the RCM layout and the
+# speculative drain were deleted, so nothing writes it any more. Every
+# file is stamped
 # with the machine (nproc, CPU
 # model, GOMAXPROCS) so numbers are never compared across incomparable
 # hardware. The scaling sweeps refuse to run on a single-CPU box unless
@@ -21,13 +22,9 @@
 #
 # Usage: scripts/bench.sh (from the repo root, or via `make bench`).
 #   BENCH_ONLY=scaling     skip BENCH_1/BENCH_2 (the `make bench-scaling`
-#                          target: sweeps + locality record only).
+#                          target: the BENCH_3/BENCH_4 sweeps only).
 #   BENCH_ONLY=hier        run only BENCH_9 (the `make bench-hier`
 #                          target: hierarchical-macromodel record).
-#   BENCH_MAIN_BIN=path    a bench test binary built from the comparison
-#                          commit (`go test -c -o bench_main .` there);
-#                          when set, BENCH_5 gains an interleaved
-#                          same-runner A/B of this tree vs that binary.
 set -e
 cd "$(dirname "$0")/.."
 
@@ -246,7 +243,6 @@ END {
         printf "    }%s\n", i < nl ? "," : ""
     }
     printf "  },\n"
-    printf "  \"speedup_mmap_vs_v1decode\": %.2f,\n", median(runs["v1decode"]) / median(runs["mmap"])
     printf "  \"speedup_mmap_vs_v2decode\": %.2f,\n", median(runs["v2decode"]) / median(runs["mmap"])
     printf "  \"rss_sessions\": {\n"
     for (i = 1; i <= nr; i++) {
@@ -298,7 +294,7 @@ fi # BENCH_ONLY = all
 
 if [ "${BENCH_ONLY:-all}" != hier ]; then
 
-# Scaling sweeps (BENCH_3, BENCH_4, BENCH_5) are meaningless on one CPU:
+# Scaling sweeps (BENCH_3, BENCH_4) are meaningless on one CPU:
 # every workers>1 row then measures pure coordination overhead, and a
 # reader comparing rows would conclude parallelism is a regression. Run
 # the sweeps under GOMAXPROCS=nproc explicitly, and when that is still 1,
@@ -315,15 +311,16 @@ if [ "$sweep_procs" = 1 ]; then
         exit 1
     fi
     echo "bench.sh: WARNING: GOMAXPROCS=1 — scaling sweeps are degenerate;" >&2
-    echo "bench.sh: WARNING: annotating BENCH_3/BENCH_4/BENCH_5 with degenerate_single_cpu=true." >&2
+    echo "bench.sh: WARNING: annotating BENCH_3/BENCH_4 with degenerate_single_cpu=true." >&2
 fi
 
-# BENCH_3.json: single-run scaling of the parallel intra-run drain.
+# BENCH_3.json: single-run scaling with the worker count.
 # BenchmarkE6ChipScaleWorkers analyzes the same chip at 1, 2, 4 and
-# GOMAXPROCS workers (deduplicated); results are bit-identical at every
-# count, so the sweep isolates wall-clock scaling of the speculate/commit
-# drain. On a single-core runner the >1 rows measure pure speculation
-# overhead — see docs/PERFORMANCE.md, "Single-run scaling".
+# GOMAXPROCS workers (deduplicated); the workers size the concurrent
+# stage-database prewarm ahead of the serial drain, and results are
+# bit-identical at every count. On a single-core runner the >1 rows
+# measure pure coordination overhead — see docs/PERFORMANCE.md,
+# "One serial drain, the identity layout".
 OUT3=BENCH_3.json
 GOMAXPROCS=$sweep_procs go test -run '^$' -bench 'BenchmarkE6ChipScaleWorkers' \
     -benchtime 1x -count 3 . | tee "$RAW"
@@ -348,7 +345,6 @@ function median(csv,   r, n, i, j, t) {
 END {
     base = median(runs[order[1]])
     printf "{\n  \"benchmark\": \"BenchmarkE6ChipScaleWorkers\",\n"
-    printf "  \"superseded_by\": \"BENCH_5.json\",\n"
     printf "  \"machine\": %s,\n", machine
     printf "  \"degenerate_single_cpu\": %s,\n", degenerate
     printf "  \"workers\": {\n"
@@ -443,136 +439,6 @@ END {
 
 echo "wrote $OUT4"
 cat "$OUT4"
-
-# BENCH_5.json: the locality/fence record. Three sections, all from the
-# same run so the denominators are honest:
-#   reorder_ab     — BenchmarkE6ReorderAB, the interleaved single-worker
-#                    A/B of the RCM row layout vs the identity layout;
-#   drain_scaling  — BenchmarkE6ChipScaleWorkers medians re-recorded
-#                    alongside (superseding BENCH_3's committed medians),
-#                    with the fence counters each parallel row publishes
-#                    (batch-size, fence-stalls, commit-depth, occupancy,
-#                    regions);
-#   ab_vs_main     — only when BENCH_MAIN_BIN names a bench binary built
-#                    at the comparison commit: strict alternation of that
-#                    binary and this tree on the same runner, the honest
-#                    form of a cross-commit speedup claim.
-OUT5=BENCH_5.json
-# The A/B benchmark interleaves its on/off pairs internally (3 pairs per
-# line at -benchtime 3x); the workers sweep re-runs the BENCH_3 medians.
-GOMAXPROCS=$sweep_procs go test -run '^$' -bench 'BenchmarkE6ReorderAB$' \
-    -benchtime 3x -count 1 . | tee "$RAW"
-GOMAXPROCS=$sweep_procs go test -run '^$' -bench 'BenchmarkE6ChipScaleWorkers' \
-    -benchtime 1x -count 3 . | tee -a "$RAW"
-
-AB_MAIN=""
-if [ -n "${BENCH_MAIN_BIN:-}" ]; then
-    ABRAW=$(mktemp)
-    NEWBIN=$(mktemp)
-    go test -c -o "$NEWBIN" .
-    # Strict alternation: new, main, new, main, ... so drift (thermal,
-    # noisy neighbours) hits both sides equally.
-    for i in 1 2 3; do
-        GOMAXPROCS=$sweep_procs "$NEWBIN" -test.run '^$' \
-            -test.bench 'BenchmarkE6ChipScale$' -test.benchtime 1x \
-            | sed 's/^/new /' | tee -a "$ABRAW"
-        GOMAXPROCS=$sweep_procs "$BENCH_MAIN_BIN" -test.run '^$' \
-            -test.bench 'BenchmarkE6ChipScale$' -test.benchtime 1x \
-            | sed 's/^/main /' | tee -a "$ABRAW"
-    done
-    AB_MAIN=$(awk '
-    $2 ~ /^BenchmarkE6ChipScale/ { runs[$1] = runs[$1] $4 "," }
-    function median(csv,   r, n, i, j, t) {
-        sub(/,$/, "", csv)
-        n = split(csv, r, ",")
-        for (i = 1; i < n; i++)
-            for (j = i + 1; j <= n; j++)
-                if (r[j] + 0 < r[i] + 0) { t = r[i]; r[i] = r[j]; r[j] = t }
-        return r[int((n + 1) / 2)]
-    }
-    END {
-        mn = median(runs["new"]); mm = median(runs["main"])
-        nc = runs["new"];  sub(/,$/, "", nc)
-        mc = runs["main"]; sub(/,$/, "", mc)
-        printf "  \"ab_vs_main\": {\n"
-        printf "    \"interleaved\": true,\n"
-        printf "    \"runs_ns_op_this_tree\": [%s],\n", nc
-        printf "    \"runs_ns_op_main\": [%s],\n", mc
-        printf "    \"median_ns_op_this_tree\": %s,\n", mn
-        printf "    \"median_ns_op_main\": %s,\n", mm
-        printf "    \"improvement_pct_vs_main\": %.1f\n", (mm - mn) / mm * 100
-        printf "  },\n"
-    }' "$ABRAW")
-    rm -f "$ABRAW" "$NEWBIN"
-fi
-
-awk '
-/^BenchmarkE6ReorderAB/ {
-    for (i = 5; i < NF; i += 2) {
-        if ($(i + 1) == "ns-reorder-on")   abon = abon $i ","
-        if ($(i + 1) == "ns-reorder-off")  aboff = aboff $i ","
-        if ($(i + 1) == "improvement-pct") abimp = abimp $i ","
-    }
-}
-/^BenchmarkE6ChipScaleWorkers\// {
-    name = $1
-    sub(/^BenchmarkE6ChipScaleWorkers\//, "", name)
-    sub(/-[0-9]+$/, "", name)
-    sub(/^workers=/, "", name)
-    runs[name] = runs[name] $3 ","
-    if (!(name in seen)) { order[++nw] = name; seen[name] = 1 }
-    for (i = 5; i < NF; i += 2) {
-        if ($(i + 1) == "batch-size")   bs[name] = bs[name] $i ","
-        if ($(i + 1) == "fence-stalls") fs[name] = fs[name] $i ","
-        if ($(i + 1) == "commit-depth") cd[name] = cd[name] $i ","
-        if ($(i + 1) == "occupancy")    oc[name] = oc[name] $i ","
-        if ($(i + 1) == "regions")      rg[name] = rg[name] $i ","
-    }
-}
-function median(csv,   r, n, i, j, t) {
-    sub(/,$/, "", csv)
-    n = split(csv, r, ",")
-    for (i = 1; i < n; i++)
-        for (j = i + 1; j <= n; j++)
-            if (r[j] + 0 < r[i] + 0) { t = r[i]; r[i] = r[j]; r[j] = t }
-    return r[int((n + 1) / 2)]
-}
-END {
-    printf "{\n  \"benchmark\": \"locality_fence\",\n"
-    printf "  \"machine\": %s,\n", machine
-    printf "  \"degenerate_single_cpu\": %s,\n", degenerate
-    if (abmain != "") printf "%s\n", abmain
-    printf "  \"reorder_ab\": {\n"
-    printf "    \"interleaved\": true,\n"
-    printf "    \"median_ns_reorder_on\": %s,\n", median(abon)
-    printf "    \"median_ns_reorder_off\": %s,\n", median(aboff)
-    printf "    \"improvement_pct\": %.1f\n", median(abimp)
-    printf "  },\n"
-    base = median(runs[order[1]])
-    printf "  \"drain_scaling\": {\n"
-    for (i = 1; i <= nw; i++) {
-        w = order[i]
-        csv = runs[w]
-        sub(/,$/, "", csv)
-        med = median(runs[w])
-        printf "    \"%s\": {\n", w
-        printf "      \"runs_ns_op\": [%s],\n", csv
-        printf "      \"median_ns_op\": %s,\n", med
-        printf "      \"scaling_vs_1_worker\": %.2f", base / med
-        if (bs[w] != "") {
-            printf ",\n      \"batch_size\": %s,\n", median(bs[w])
-            printf "      \"fence_stalls\": %s,\n", median(fs[w])
-            printf "      \"commit_depth\": %s,\n", median(cd[w])
-            printf "      \"occupancy\": %s,\n", median(oc[w])
-            printf "      \"regions\": %s\n", median(rg[w])
-        } else printf "\n"
-        printf "    }%s\n", i < nw ? "," : ""
-    }
-    printf "  }\n}\n"
-}' machine="$MACHINE" degenerate="$degenerate" abmain="$AB_MAIN" "$RAW" > "$OUT5"
-
-echo "wrote $OUT5"
-cat "$OUT5"
 
 fi # BENCH_ONLY != hier
 
